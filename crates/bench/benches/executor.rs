@@ -6,12 +6,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use treu_bench::par_map;
 use treu_bench::workload;
 use treu_core::exec::Executor;
 use treu_core::experiment::{Experiment, Params, RunContext};
 use treu_core::sweep::Axis;
 use treu_core::ExperimentRegistry;
-use treu_math::parallel::{default_threads, par_map, par_map_dynamic};
+use treu_math::parallel::{default_threads, par_map_dynamic};
 use treu_robust::contamination::{ContaminatedSample, Contamination};
 use treu_robust::estimators;
 
@@ -55,8 +56,8 @@ fn bench(c: &mut Criterion) {
     let hw = default_threads();
 
     // The guarantee before the speed: job count must not change results.
-    let seq = Executor::sequential().run_all(&reg, 7);
-    let par = Executor::new(hw).run_all(&reg, 7);
+    let seq = Executor::sequential().run_all_report(&reg, 7).0;
+    let par = Executor::new(hw).run_all_report(&reg, 7).0;
     assert!(
         seq.iter().zip(&par).all(|(a, b)| a.0 == b.0 && a.1.trail == b.1.trail),
         "parallel registry batch diverged from sequential"
@@ -67,7 +68,7 @@ fn bench(c: &mut Criterion) {
     for jobs in [1, 2, hw] {
         g.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &j| {
             let exec = Executor::new(j);
-            b.iter(|| black_box(exec.run_all(&reg, 7)))
+            b.iter(|| black_box(exec.run_all_report(&reg, 7)))
         });
     }
     g.finish();

@@ -21,11 +21,12 @@
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
+use treu_bench::par_map;
 use treu_bench::workload;
 use treu_core::exec::Executor;
 use treu_core::experiment::{Experiment, Params, RunContext};
 use treu_core::ExperimentRegistry;
-use treu_math::parallel::{default_threads, par_map, par_map_dynamic};
+use treu_math::parallel::{default_threads, par_map_dynamic};
 
 /// Minimum dynamic-over-static speedup `--enforce` accepts.
 const SPEEDUP_FLOOR: f64 = 1.3;

@@ -1,13 +1,39 @@
 //! Shared nothing between the criterion benches: each is self-contained.
 //! The exceptions are [`workload`], the synthetic skewed-cost task set
 //! shared by the `executor` criterion bench and the `exec_bench` binary so
-//! both measure the same thing, [`soak`], the sustained multi-tenant
+//! both measure the same thing, [`par_map`], the static-band scheduler
+//! both use as their baseline, [`soak`], the sustained multi-tenant
 //! chaos soak driver behind `treu soak`, and [`svc`], the sharded
 //! verification-service soak behind `treu soak --workers N`.
 #![forbid(unsafe_code)]
 
 pub mod soak;
 pub mod svc;
+
+/// Applies `f` to every index in `0..n` across `threads` scoped workers
+/// and collects the results in index order — **static** scheduling: one
+/// contiguous band per worker, fixed up front. Zero coordination, but a
+/// worker whose band holds the expensive items becomes the critical path
+/// while the others idle; the benches measure the self-scheduling
+/// [`treu_math::parallel::par_map_dynamic`] against it.
+pub fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let band = n.div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..n)
+            .step_by(band)
+            .map(|i0| s.spawn(move || (i0..(i0 + band).min(n)).map(f).collect::<Vec<T>>()))
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("parallel map worker panicked")).collect()
+    })
+}
 
 pub mod workload {
     //! A skewed-cost workload for scheduler benchmarking.
@@ -55,6 +81,45 @@ pub mod workload {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use crate::par_map;
+
+        #[test]
+        fn par_map_is_in_order() {
+            for threads in [1, 2, 5, 16] {
+                let v = par_map(23, threads, |i| i * i);
+                let expect: Vec<usize> = (0..23).map(|i| i * i).collect();
+                assert_eq!(v, expect, "threads={threads}");
+            }
+        }
+
+        #[test]
+        fn par_map_empty() {
+            let v: Vec<u64> = par_map(0, 4, |_| 1);
+            assert!(v.is_empty());
+        }
+
+        /// A result type that is deliberately neither `Default` nor
+        /// `Clone`: `par_map` needs neither.
+        struct NoDefaultNoClone(String);
+
+        #[test]
+        fn par_map_works_without_default_or_clone() {
+            for threads in [1, 2, 5, 16] {
+                let v = par_map(23, threads, |i| NoDefaultNoClone(format!("r{i}")));
+                let got: Vec<&str> = v.iter().map(|x| x.0.as_str()).collect();
+                let expect: Vec<String> = (0..23).map(|i| format!("r{i}")).collect();
+                assert_eq!(
+                    got,
+                    expect.iter().map(String::as_str).collect::<Vec<_>>(),
+                    "threads={threads}"
+                );
+            }
+        }
+
+        #[test]
+        fn par_map_handles_oversubscription() {
+            assert_eq!(par_map(3, 64, |i| i * 10), vec![0, 10, 20]);
+        }
 
         #[test]
         fn costs_are_skewed_and_positive() {

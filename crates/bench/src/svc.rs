@@ -3,8 +3,8 @@
 //!
 //! The single-process soak ([`crate::soak`]) stresses the cache and the
 //! fair queue; this one stresses the *coordinator/worker* layer: the same
-//! registry-wide verification is driven repeatedly through
-//! [`treu_core::svc::verify_all_svc`] at a ladder of `(workers, jobs)`
+//! registry-wide verification batch ([`treu_core::batch::Batch`]) is
+//! driven repeatedly through [`Backend::Sharded`] at a ladder of `(workers, jobs)`
 //! topologies, optionally with the seeded kill plan SIGKILLing workers
 //! mid-shard, and every pass is required to land on the bits of the
 //! fault-free in-process baseline — the same trace content address and
@@ -15,11 +15,12 @@
 
 use std::time::Instant;
 
-use treu_core::exec::{Executor, SupervisePolicy, VerifyReport};
+use treu_core::batch::{Backend, Batch, Mode};
+use treu_core::exec::VerifyReport;
 use treu_core::experiment::Params;
 use treu_core::fault::KillPlan;
 use treu_core::hash::fnv64_parts;
-use treu_core::svc::{verify_all_svc, SvcConfig};
+use treu_core::svc::SvcConfig;
 use treu_core::ExperimentRegistry;
 
 /// Soak shape: which topologies, how many passes, how much process chaos.
@@ -255,14 +256,12 @@ pub fn run_svc_soak(
     params_of: &(dyn Fn(&str, Params) -> Params + Sync),
     cfg: &SvcSoakConfig,
 ) -> std::io::Result<SvcSoakReport> {
-    let policy = SupervisePolicy::new(0);
+    let batch = Batch::registry(reg, Mode::Verify, cfg.seed).with_params(params_of);
     // The bits every topology must land on: single-threaded, in-process,
     // no faults, no processes.
     // treu-lint: allow(wall-clock, reason = "throughput reporting only; never part of a result")
     let start = Instant::now();
-    let exec = Executor::new(1).with_tracing(true);
-    let baseline = exec
-        .verify_all_supervised_with(reg, cfg.seed, None, &policy, None, |id, d| params_of(id, d));
+    let baseline = batch.execute(&Backend::InProcess { jobs: 1 })?.into_verify();
     let baseline_wall = start.elapsed().as_secs_f64();
     let baseline_trace = baseline.trace.content_hash();
     let baseline_digest = digest(&baseline);
@@ -306,8 +305,9 @@ pub fn run_svc_soak(
                 };
                 c = c.with_kill_plan(kp);
             }
-            let (report, stats) =
-                verify_all_svc(reg, cfg.seed, None, &policy, None, |id, d| params_of(id, d), c)?;
+            let report = batch.execute(&Backend::Sharded(c))?;
+            let stats = report.svc.expect("a sharded batch reports its pool");
+            let report = report.into_verify();
             rep.verified = report.outcomes.len();
             rep.trace_address = report.trace.content_hash();
             rep.fingerprint_digest = digest(&report);

@@ -5,8 +5,8 @@
 //! (the §3 "result collection takes too long" failure mode). This module
 //! removes the speed excuse without touching the guarantee: an
 //! [`Executor`] fans multi-seed runs, parameter sweeps, and registry-wide
-//! batches out over `crossbeam::scope` worker chunks and merges results
-//! back in canonical (input) order.
+//! batches out over `std::thread::scope` workers and merges results back
+//! in canonical (input) order.
 //!
 //! The determinism contract: every run owns its own
 //! [`crate::experiment::RunContext`], all randomness is derived from
@@ -34,16 +34,16 @@
 //! experiment: the paper's §4 performance-measurement lesson applied to
 //! the harness.
 //!
-//! Batches can additionally run through a content-addressed
-//! [`RunCache`] (`*_cached` variants): runs whose key — experiment id,
-//! params, seed, code+env fingerprint — is already stored are replayed
-//! from disk instead of recomputed, making re-verification near-free.
+//! Registry batches — run or verify, cached or not, in-process or
+//! sharded — go through the one pipeline in [`crate::batch`];
+//! [`Executor::run_all_report`] and [`Executor::verify_all_with`] are
+//! in-process shorthands for it.
 //!
-//! **Supervision.** Registry batches are *supervised*: every run executes
-//! under `std::panic::catch_unwind`, optionally bounded by a per-run
-//! deadline (a scoped watchdog waits on a channel with a timeout — the
-//! verdict lands at the deadline, the straggler is joined cooperatively),
-//! and failed attempts retry under the deterministic backoff schedule in
+//! **Supervision.** Every batch run executes under
+//! `std::panic::catch_unwind`, optionally bounded by a per-run deadline
+//! (a scoped watchdog waits on a channel with a timeout — the verdict
+//! lands at the deadline, the straggler is joined cooperatively), and
+//! failed attempts retry under the deterministic backoff schedule in
 //! [`crate::fault::backoff_millis`] up to a [`SupervisePolicy`] budget.
 //! A run that exhausts its budget is **quarantined**, not fatal: the rest
 //! of the batch completes, the [`VerifyReport`] carries a per-run failure
@@ -52,14 +52,12 @@
 //! same path, so the §3 "finish the batch and report what broke" story is
 //! a tested property, not a hope.
 
-use crate::cache::{Lookup, RunCache};
+use crate::batch::{Backend, Batch, BatchReport, Mode};
 use crate::experiment::{run_once, Experiment, Params, RunRecord};
 use crate::fault::{backoff_millis, FaultPlan, FaultyExperiment};
 use crate::registry::ExperimentRegistry;
 use crate::sweep::{grid_points, Axis, SweepPoint};
-use crate::trace::{
-    AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceCounters, TraceEvent, WorkerTiming,
-};
+use crate::trace::{AttemptOutcome, BatchTrace, RunTrace, TraceCounters, TraceEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 use treu_math::parallel::{adaptive_chunk, default_threads, par_map_dynamic_stats, SchedStats};
@@ -183,108 +181,23 @@ impl Executor {
         })
     }
 
-    /// Runs every registered experiment at its default parameters,
-    /// returning `(id, record)` pairs in registry (id) order.
-    pub fn run_all(&self, reg: &ExperimentRegistry, seed: u64) -> Vec<(String, RunRecord)> {
-        self.run_all_report(reg, seed).0
-    }
-
-    /// [`Executor::run_all`] plus an [`ExecReport`] for the batch.
+    /// Runs every registered experiment at its defaults through the
+    /// in-process [`Batch`] pipeline, returning `(id, record)` pairs in
+    /// registry (id) order plus an [`ExecReport`] for the batch. A run
+    /// that fails is re-raised as a panic naming the id.
     pub fn run_all_report(
         &self,
         reg: &ExperimentRegistry,
         seed: u64,
     ) -> (Vec<(String, RunRecord)>, ExecReport) {
-        self.run_all_report_cached(reg, seed, None)
-    }
-
-    /// [`Executor::run_all_report`] through an optional [`RunCache`]:
-    /// ids whose `(id, defaults, seed)` key is cached under the current
-    /// code+env fingerprint are replayed from disk; only the misses are
-    /// dispatched to workers, and their records are stored after the
-    /// batch. Results are identical to the uncached call (the cache
-    /// round-trips trails bitwise); a cached record's `wall_seconds` is
-    /// its original compute cost.
-    pub fn run_all_report_cached(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        cache: Option<&RunCache>,
-    ) -> (Vec<(String, RunRecord)>, ExecReport) {
-        let entries: Vec<(&str, &Params)> = reg.iter().map(|(id, e)| (id, &e.defaults)).collect();
-        // treu-lint: allow(wall-clock, reason = "batch timing reported outside the fingerprint")
-        let start = Instant::now();
-        let mut traces: Vec<RunTrace> =
-            entries.iter().map(|(id, _)| RunTrace::new(id, seed)).collect();
-        let mut slots: Vec<Option<RunRecord>> = entries
-            .iter()
-            .zip(traces.iter_mut())
-            .map(|((id, p), rt)| match cache {
-                None => None,
-                Some(c) => {
-                    let found = c.lookup_classified(id, seed, p);
-                    if self.tracing {
-                        rt.push(
-                            TraceEvent::Cache { result: cache_result(&found) },
-                            start.elapsed().as_secs_f64(),
-                        );
-                    }
-                    match found {
-                        Lookup::Hit(rec) => Some(rec),
-                        _ => None,
-                    }
-                }
+        let (runs, report) = self.in_process(Batch::registry(reg, Mode::Run, seed)).into_run();
+        let records = runs
+            .into_iter()
+            .map(|r| match r.outcome {
+                RunOutcome::Ok { record, .. } => (r.id, record),
+                RunOutcome::Failed(f) => panic!("{}: {f}", r.id),
             })
             .collect();
-        let cached_runs = slots.iter().filter(|s| s.is_some()).count();
-        let misses: Vec<usize> = (0..entries.len()).filter(|&i| slots[i].is_none()).collect();
-        let tracing = self.tracing;
-        let (computed, sched) = self.map_indexed_stats(misses.len(), |k| {
-            let (id, _) = entries[misses[k]];
-            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-            if let Some(rt) = rt.as_mut() {
-                rt.push(TraceEvent::Claim { replica: 0 }, start.elapsed().as_secs_f64());
-                rt.push(
-                    TraceEvent::AttemptStart { replica: 0, attempt: 0 },
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-            let rec = reg.run(id, seed).expect("id comes from the registry's own iterator");
-            if let Some(rt) = rt.as_mut() {
-                rt.push(
-                    TraceEvent::AttemptEnd { replica: 0, attempt: 0, outcome: AttemptOutcome::Ok },
-                    start.elapsed().as_secs_f64(),
-                );
-            }
-            (rec, rt)
-        });
-        for (k, (rec, rt)) in computed.into_iter().enumerate() {
-            let i = misses[k];
-            if let Some(rt) = rt {
-                traces[i].absorb(rt);
-            }
-            if let Some(c) = cache {
-                let (id, p) = entries[i];
-                if c.store(id, seed, p, &rec).is_ok() && tracing {
-                    traces[i].push(TraceEvent::CacheStored, start.elapsed().as_secs_f64());
-                }
-            }
-            slots[i] = Some(rec);
-        }
-        let records: Vec<(String, RunRecord)> = entries
-            .iter()
-            .zip(slots)
-            .map(|((id, _), rec)| (id.to_string(), rec.expect("every slot filled above")))
-            .collect();
-        let wall = start.elapsed().as_secs_f64();
-        let report = ExecReport::from_labelled(
-            self.jobs,
-            records.iter().map(|(id, r)| (id.clone(), r.wall_seconds)),
-            wall,
-        )
-        .with_workers(&sched)
-        .with_cached(cached_runs)
-        .with_trace(batch_trace("run", seed, traces, self.jobs, wall, &sched));
         (records, report)
     }
 
@@ -306,356 +219,28 @@ impl Executor {
         runs[0].fingerprint()
     }
 
-    /// Verifies every registered experiment: each id is run twice,
-    /// concurrently with everything else, and the two trails are
-    /// cross-checked. Uses each entry's default parameters.
-    pub fn verify_all(&self, reg: &ExperimentRegistry, seed: u64) -> VerifyReport {
-        self.verify_all_with(reg, seed, |_, defaults| defaults)
-    }
-
-    /// [`Executor::verify_all`] with a parameter override hook: `params`
-    /// receives each id and its registered defaults and returns the
-    /// parameters to verify at (the conformance tests lighten heavy
-    /// experiments this way).
+    /// Verifies every registered experiment through the in-process
+    /// [`Batch`] pipeline: each id runs as two concurrent replicas whose
+    /// trails are cross-checked. `params` receives each id and its
+    /// registered defaults and returns the parameters to verify at (the
+    /// conformance tests lighten heavy experiments this way).
     pub fn verify_all_with(
         &self,
         reg: &ExperimentRegistry,
         seed: u64,
         params: impl Fn(&str, Params) -> Params + Sync,
     ) -> VerifyReport {
-        self.verify_all_cached_with(reg, seed, None, params)
+        self.in_process(Batch::registry(reg, Mode::Verify, seed).with_params(params)).into_verify()
     }
 
-    /// [`Executor::verify_all`] through an optional [`RunCache`].
-    pub fn verify_all_cached(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        cache: Option<&RunCache>,
-    ) -> VerifyReport {
-        self.verify_all_cached_with(reg, seed, cache, |_, defaults| defaults)
+    /// Executes `batch` on this executor's threads, with its tracing
+    /// setting.
+    fn in_process(&self, batch: Batch<'_>) -> BatchReport {
+        batch
+            .with_tracing(self.tracing)
+            .execute(&Backend::InProcess { jobs: self.jobs })
+            .expect("in-process batches do no coordinator I/O")
     }
-
-    /// The general verification pass: parameter override hook plus an
-    /// optional [`RunCache`].
-    ///
-    /// A cache hit means the id was previously run (and, for entries this
-    /// pass wrote, cross-checked) under the *same code+env fingerprint*,
-    /// so its outcome is reported as reproduced-from-cache without
-    /// recomputation — re-verification of an unchanged artifact costs
-    /// ~zero. Misses run twice concurrently, are cross-checked, and the
-    /// first replica is stored on success. [`VerifyReport::recomputed`]
-    /// counts the ids that actually ran.
-    pub fn verify_all_cached_with(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        cache: Option<&RunCache>,
-        params: impl Fn(&str, Params) -> Params + Sync,
-    ) -> VerifyReport {
-        self.verify_all_supervised_with(reg, seed, cache, &SupervisePolicy::default(), None, params)
-    }
-
-    /// Runs every registered experiment under supervision: panics are
-    /// caught, attempts retry per `policy`, and exhausted runs come back
-    /// as [`RunOutcome::Failed`] instead of aborting the batch. An
-    /// optional [`FaultPlan`] injects deterministic chaos on the way in.
-    pub fn run_all_supervised(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        policy: &SupervisePolicy,
-        plan: Option<&FaultPlan>,
-    ) -> (Vec<(String, RunOutcome)>, ExecReport) {
-        let entries: Vec<_> = reg.iter().collect();
-        // treu-lint: allow(wall-clock, reason = "batch timing reported outside the fingerprint")
-        let start = Instant::now();
-        let tracing = self.tracing;
-        let (results, sched) = self.map_indexed_stats(entries.len(), |i| {
-            let (id, e) = entries[i];
-            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-            if let Some(rt) = rt.as_mut() {
-                rt.push(TraceEvent::Claim { replica: 0 }, start.elapsed().as_secs_f64());
-            }
-            let out = run_supervised_traced(
-                e.runner(),
-                id,
-                seed,
-                &e.defaults,
-                policy,
-                plan,
-                0,
-                rt.as_mut().map(|rt| (rt, start)),
-            );
-            (out, rt)
-        });
-        let mut traces = Vec::with_capacity(entries.len());
-        let mut pairs: Vec<(String, RunOutcome)> = Vec::with_capacity(entries.len());
-        for ((id, _), (out, rt)) in entries.iter().zip(results) {
-            traces.push(rt.unwrap_or_else(|| RunTrace::new(id, seed)));
-            pairs.push((id.to_string(), out));
-        }
-        let failed = pairs.iter().filter(|(_, o)| !o.is_ok()).count();
-        let wall = start.elapsed().as_secs_f64();
-        let report = ExecReport::from_labelled(
-            self.jobs,
-            pairs.iter().filter_map(|(id, o)| o.record().map(|r| (id.clone(), r.wall_seconds))),
-            wall,
-        )
-        .with_workers(&sched)
-        .with_failed(failed)
-        .with_trace(batch_trace("run", seed, traces, self.jobs, wall, &sched));
-        (pairs, report)
-    }
-
-    /// [`Executor::verify_all`] under full supervision — this is the
-    /// general pass every other verify method funnels into.
-    ///
-    /// Each non-cached id runs as two supervised replicas; both must
-    /// succeed and agree bitwise to count as reproduced. Failures carry a
-    /// taxonomy: a panic or deadline that survives the retry budget is
-    /// quarantined as such, replica disagreement is
-    /// [`FailureKind::Nondeterministic`], and when a *corrupt cache
-    /// entry* preceded the recompute the outcome is tagged
-    /// [`FailureKind::CorruptCache`] on failure (or marked self-healed on
-    /// success). The batch always completes; gating is the caller's
-    /// [`DenyPolicy`] decision.
-    pub fn verify_all_supervised_with(
-        &self,
-        reg: &ExperimentRegistry,
-        seed: u64,
-        cache: Option<&RunCache>,
-        policy: &SupervisePolicy,
-        plan: Option<&FaultPlan>,
-        params: impl Fn(&str, Params) -> Params + Sync,
-    ) -> VerifyReport {
-        let jobs: Vec<(&str, Params, &crate::registry::Entry)> =
-            reg.iter().map(|(id, e)| (id, params(id, e.defaults.clone()), e)).collect();
-        // treu-lint: allow(wall-clock, reason = "verification timing reported outside the fingerprint")
-        let start = Instant::now();
-        let mut traces: Vec<RunTrace> =
-            jobs.iter().map(|(id, _, _)| RunTrace::new(id, seed)).collect();
-        let looked: Vec<Lookup> = jobs
-            .iter()
-            .zip(traces.iter_mut())
-            .map(|((id, p, _), rt)| {
-                let found = match cache {
-                    Some(c) => c.lookup_classified(id, seed, p),
-                    None => Lookup::Miss,
-                };
-                if self.tracing && cache.is_some() {
-                    rt.push(
-                        TraceEvent::Cache { result: cache_result(&found) },
-                        start.elapsed().as_secs_f64(),
-                    );
-                }
-                found
-            })
-            .collect();
-        let misses: Vec<usize> =
-            (0..jobs.len()).filter(|&i| !matches!(looked[i], Lookup::Hit(_))).collect();
-        let tracing = self.tracing;
-        // Both replicas of a missed id are independent tasks, so they run
-        // concurrently whenever jobs >= 2. Each replica records into its
-        // own local buffer (no shared state on the hot path); buffers are
-        // merged below in fixed (id, replica) order, which is what keeps
-        // the rendered stream schedule-independent.
-        let (runs, sched) = self.map_indexed_stats(misses.len() * 2, |i| {
-            let (id, p, e) = &jobs[misses[i / 2]];
-            let replica = (i % 2) as u32;
-            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-            if let Some(rt) = rt.as_mut() {
-                rt.push(TraceEvent::Claim { replica }, start.elapsed().as_secs_f64());
-            }
-            let out = run_supervised_traced(
-                e.runner(),
-                id,
-                seed,
-                p,
-                policy,
-                plan,
-                replica,
-                rt.as_mut().map(|rt| (rt, start)),
-            );
-            (out, rt)
-        });
-        let recomputed = misses.len();
-        let mut fresh = runs.into_iter();
-        let outcomes = jobs
-            .iter()
-            .zip(looked)
-            .enumerate()
-            .map(|(i, ((id, p, _), found))| match found {
-                Lookup::Hit(rec) => {
-                    let outcome = VerifyOutcome {
-                        id: id.to_string(),
-                        fingerprint: rec.fingerprint(),
-                        reproduced: true,
-                        cached: true,
-                        attempts: 1,
-                        healed_corruption: false,
-                        failure: None,
-                    };
-                    if tracing && cache.is_some() {
-                        traces[i].push(
-                            TraceEvent::Verdict {
-                                reproduced: true,
-                                cached: true,
-                                attempts: 1,
-                                fingerprint: outcome.fingerprint,
-                                failure: None,
-                            },
-                            start.elapsed().as_secs_f64(),
-                        );
-                    }
-                    outcome
-                }
-                not_hit => {
-                    let was_corrupt = matches!(not_hit, Lookup::Corrupt);
-                    let (oa, ta) = fresh.next().expect("two fresh runs per miss");
-                    let (ob, tb) = fresh.next().expect("two fresh runs per miss");
-                    if let Some(t) = ta {
-                        traces[i].absorb(t);
-                    }
-                    if let Some(t) = tb {
-                        traces[i].absorb(t);
-                    }
-                    cross_check(
-                        id,
-                        seed,
-                        p,
-                        &[oa, ob],
-                        cache,
-                        was_corrupt,
-                        tracing.then_some((&mut traces[i], start)),
-                    )
-                }
-            })
-            .collect();
-        let wall = start.elapsed().as_secs_f64();
-        let trace = batch_trace("verify", seed, traces, self.jobs, wall, &sched);
-        let counters = trace.counters();
-        VerifyReport { jobs: self.jobs, outcomes, wall_seconds: wall, recomputed, trace, counters }
-    }
-}
-
-/// Maps a cache [`Lookup`] classification onto its trace-event mirror.
-pub(crate) fn cache_result(found: &Lookup) -> CacheResult {
-    match found {
-        Lookup::Hit(_) => CacheResult::Hit,
-        Lookup::Miss => CacheResult::Miss,
-        Lookup::Stale => CacheResult::Stale,
-        Lookup::Corrupt => CacheResult::Corrupt,
-    }
-}
-
-/// Assembles per-run traces plus the scheduler's timing into a
-/// [`BatchTrace`] (worker loads and wall time go to the sidecar only).
-pub(crate) fn batch_trace(
-    kind: &str,
-    seed: u64,
-    runs: Vec<RunTrace>,
-    jobs: usize,
-    wall_seconds: f64,
-    sched: &SchedStats,
-) -> BatchTrace {
-    BatchTrace {
-        kind: kind.to_string(),
-        seed,
-        runs,
-        jobs,
-        wall_seconds,
-        workers: sched
-            .busy_seconds
-            .iter()
-            .zip(&sched.chunks_claimed)
-            .zip(&sched.items)
-            .map(|((&busy_seconds, &chunks), &items)| WorkerTiming { busy_seconds, chunks, items })
-            .collect(),
-    }
-}
-
-/// Cross-checks one id's two supervised replicas into a [`VerifyOutcome`],
-/// recording store/heal/verdict events into the run's trace when one is
-/// threaded through.
-pub(crate) fn cross_check(
-    id: &str,
-    seed: u64,
-    params: &Params,
-    pair: &[RunOutcome],
-    cache: Option<&RunCache>,
-    was_corrupt: bool,
-    mut tracer: Option<(&mut RunTrace, Instant)>,
-) -> VerifyOutcome {
-    let outcome = match (&pair[0], &pair[1]) {
-        (
-            RunOutcome::Ok { record: a, attempts: aa },
-            RunOutcome::Ok { record: b, attempts: ab },
-        ) => {
-            let reproduced = a.trail == b.trail;
-            let attempts = (*aa).max(*ab);
-            if reproduced {
-                if let Some(c) = cache {
-                    if c.store(id, seed, params, a).is_ok() {
-                        emit(&mut tracer, TraceEvent::CacheStored);
-                    }
-                }
-                if was_corrupt {
-                    emit(&mut tracer, TraceEvent::CacheHealed);
-                }
-            }
-            let failure = (!reproduced).then(|| RunFailure {
-                taxonomy: if was_corrupt {
-                    FailureKind::CorruptCache
-                } else {
-                    FailureKind::Nondeterministic
-                },
-                attempts,
-                last_error: "verification replicas produced different trails".to_string(),
-            });
-            VerifyOutcome {
-                id: id.to_string(),
-                fingerprint: a.fingerprint(),
-                reproduced,
-                cached: false,
-                attempts,
-                healed_corruption: was_corrupt && reproduced,
-                failure,
-            }
-        }
-        _ => {
-            let f = pair
-                .iter()
-                .find_map(|o| match o {
-                    RunOutcome::Failed(f) => Some(f.clone()),
-                    RunOutcome::Ok { .. } => None,
-                })
-                .expect("a non-Ok pair contains a failure");
-            let fingerprint =
-                pair.iter().find_map(RunOutcome::record).map(RunRecord::fingerprint).unwrap_or(0);
-            let taxonomy = if was_corrupt { FailureKind::CorruptCache } else { f.taxonomy };
-            VerifyOutcome {
-                id: id.to_string(),
-                fingerprint,
-                reproduced: false,
-                cached: false,
-                attempts: f.attempts,
-                healed_corruption: false,
-                failure: Some(RunFailure { taxonomy, ..f }),
-            }
-        }
-    };
-    emit(
-        &mut tracer,
-        TraceEvent::Verdict {
-            reproduced: outcome.reproduced,
-            cached: false,
-            attempts: outcome.attempts,
-            fingerprint: outcome.fingerprint,
-            failure: outcome.failure.as_ref().map(|f| f.taxonomy.name()),
-        },
-    );
-    outcome
 }
 
 /// Pushes `event` into the tracer's run buffer, stamped with the elapsed
@@ -723,6 +308,29 @@ pub struct RunFailure {
     pub attempts: u32,
     /// The last attempt's error (panic message or deadline report).
     pub last_error: String,
+}
+
+impl std::fmt::Display for RunFailure {
+    /// The quarantine line every report prints after the id.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "QUARANTINED({}) after {} attempt(s): {}",
+            self.taxonomy.name(),
+            self.attempts,
+            self.last_error
+        )
+    }
+}
+
+/// The ` [after N attempts]` note for a run that needed retries (empty
+/// for a clean first try).
+pub fn attempts_note(attempts: u32) -> String {
+    if attempts > 1 {
+        format!(" [after {attempts} attempts]")
+    } else {
+        String::new()
+    }
 }
 
 /// The outcome of one supervised run.
@@ -921,7 +529,7 @@ where
 /// `None` the event path costs one branch per site — this *is*
 /// [`run_supervised`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_supervised_traced<E>(
+pub(crate) fn run_supervised_traced<E>(
     exp: &E,
     id: &str,
     seed: u64,
@@ -1012,6 +620,27 @@ pub struct VerifyOutcome {
     pub failure: Option<RunFailure>,
 }
 
+impl VerifyOutcome {
+    /// The verdict text printed after the id: `REPRODUCED …`,
+    /// `QUARANTINED(…) …`, or `MISMATCH …`.
+    pub fn status(&self) -> String {
+        if self.reproduced {
+            format!(
+                "REPRODUCED{} (fingerprint {:#018x}){}{}",
+                if self.cached { " [cached]" } else { "" },
+                self.fingerprint,
+                if self.healed_corruption { " [healed corrupt cache entry]" } else { "" },
+                attempts_note(self.attempts)
+            )
+        } else {
+            match self.failure.as_ref().filter(|f| f.taxonomy != FailureKind::Nondeterministic) {
+                Some(f) => f.to_string(),
+                None => "MISMATCH — run is not deterministic".to_string(),
+            }
+        }
+    }
+}
+
 /// The result of a registry-wide verification pass.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
@@ -1088,34 +717,7 @@ impl VerifyReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for o in &self.outcomes {
-            if o.reproduced {
-                let mut suffix = String::new();
-                if o.healed_corruption {
-                    suffix.push_str(" [healed corrupt cache entry]");
-                }
-                if o.attempts > 1 {
-                    suffix.push_str(&format!(" [after {} attempts]", o.attempts));
-                }
-                out.push_str(&format!(
-                    "{:<10} REPRODUCED{} (fingerprint {:#018x}){}\n",
-                    o.id,
-                    if o.cached { " [cached]" } else { "" },
-                    o.fingerprint,
-                    suffix
-                ));
-            } else if let Some(f) =
-                o.failure.as_ref().filter(|f| f.taxonomy != FailureKind::Nondeterministic)
-            {
-                out.push_str(&format!(
-                    "{:<10} QUARANTINED({}) after {} attempt(s): {}\n",
-                    o.id,
-                    f.taxonomy.name(),
-                    f.attempts,
-                    f.last_error
-                ));
-            } else {
-                out.push_str(&format!("{:<10} MISMATCH — run is not deterministic\n", o.id));
-            }
+            out.push_str(&format!("{:<10} {}\n", o.id, o.status()));
         }
         out.push_str(&format!(
             "{}/{} reproduced in {:.3}s with {} job(s)\n",
@@ -1263,10 +865,11 @@ impl ExecReport {
     }
 
     /// Load-imbalance ratio: busiest over least-busy worker. 1.0 when
-    /// fewer than two workers reported, or when nobody did measurable
-    /// work (e.g. every run quarantined) — always finite.
+    /// fewer than two workers reported, when nobody did measurable work
+    /// (e.g. every run quarantined), or when every run was a cache replay
+    /// (workers only read entries) — always finite.
     pub fn imbalance_ratio(&self) -> f64 {
-        if self.workers.len() < 2 {
+        if self.workers.len() < 2 || self.all_cached() {
             return 1.0;
         }
         let max = self.workers.iter().map(|w| w.busy_seconds).fold(0.0, f64::max);
@@ -1650,8 +1253,14 @@ pub fn fair_interleave(tenants: &[u64], quota: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::RunCache;
     use crate::experiment::{assert_deterministic, run_seeds, RunContext};
     use crate::sweep::sweep;
+
+    /// Executes `batch` on `jobs` in-process threads.
+    fn in_process(batch: Batch<'_>, jobs: usize) -> BatchReport {
+        batch.execute(&Backend::InProcess { jobs }).expect("in-process batches do no I/O")
+    }
 
     struct Noisy;
     impl Experiment for Noisy {
@@ -1738,10 +1347,10 @@ mod tests {
     #[test]
     fn run_all_is_in_id_order_and_job_count_invariant() {
         let reg = small_registry();
-        let base = Executor::sequential().run_all(&reg, 7);
+        let base = Executor::sequential().run_all_report(&reg, 7).0;
         assert_eq!(base.iter().map(|(id, _)| id.as_str()).collect::<Vec<_>>(), vec!["A", "B", "C"]);
         for jobs in [2, 5] {
-            let par = Executor::new(jobs).run_all(&reg, 7);
+            let par = Executor::new(jobs).run_all_report(&reg, 7).0;
             for ((ida, a), (idb, b)) in base.iter().zip(par.iter()) {
                 assert_eq!(ida, idb);
                 assert_eq!(a.trail, b.trail, "jobs={jobs}");
@@ -1753,7 +1362,7 @@ mod tests {
     fn verify_all_passes_deterministic_registry() {
         let reg = small_registry();
         for jobs in [1, 4] {
-            let report = Executor::new(jobs).verify_all(&reg, 3);
+            let report = Executor::new(jobs).verify_all_with(&reg, 3, |_, d| d);
             assert!(report.all_reproduced(), "jobs={jobs}");
             assert!(report.violations().is_empty());
             assert_eq!(report.outcomes.len(), 3);
@@ -1773,7 +1382,7 @@ mod tests {
             Params::new(),
             Box::new(NonDet(std::sync::atomic::AtomicU64::new(0))),
         );
-        let report = Executor::new(4).verify_all(&reg, 3);
+        let report = Executor::new(4).verify_all_with(&reg, 3, |_, d| d);
         assert!(!report.all_reproduced());
         assert_eq!(report.violations(), vec!["Z-bad"]);
         assert!(report.render().contains("MISMATCH"));
@@ -1899,23 +1508,23 @@ mod tests {
 
     #[test]
     fn run_all_cached_is_bitwise_identical_and_free_on_rerun() {
-        use crate::cache::RunCache;
         let reg = small_registry();
         let dir = cache_dir("runall");
         let cache = RunCache::open(&dir).unwrap();
-        let exec = Executor::new(2);
-        let plain = exec.run_all(&reg, 7);
-        let (cold, cold_report) = exec.run_all_report_cached(&reg, 7, Some(&cache));
+        let plain = Executor::new(2).run_all_report(&reg, 7).0;
+        let cached = || in_process(Batch::registry(&reg, Mode::Run, 7).with_cache(Some(&cache)), 2);
+        let (cold, cold_report) = cached().into_run();
         assert_eq!(cold_report.cached_runs, 0);
-        for ((ida, a), (idb, b)) in plain.iter().zip(cold.iter()) {
-            assert_eq!(ida, idb);
-            assert_eq!(a.trail, b.trail, "cold cached batch must match the uncached batch");
+        for ((ida, a), b) in plain.iter().zip(cold.iter()) {
+            assert_eq!(ida, &b.id);
+            assert_eq!(a.trail, b.outcome.record().unwrap().trail, "cold cached batch must match");
         }
-        let (warm, warm_report) = exec.run_all_report_cached(&reg, 7, Some(&cache));
+        let (warm, warm_report) = cached().into_run();
         assert_eq!(warm_report.cached_runs, reg.len(), "second pass is fully cached");
-        for ((ida, a), (idb, b)) in plain.iter().zip(warm.iter()) {
-            assert_eq!(ida, idb);
-            assert_eq!(a.trail, b.trail, "cache replay must round-trip trails bitwise");
+        for ((ida, a), b) in plain.iter().zip(warm.iter()) {
+            assert_eq!(ida, &b.id);
+            assert!(b.cached);
+            assert_eq!(a.trail, b.outcome.record().unwrap().trail, "cache replay is bitwise");
         }
         assert!(warm_report.render().contains("served from the run cache"));
         // Regression: an all-hit batch has zero-busy workers — that must
@@ -1929,19 +1538,21 @@ mod tests {
 
     #[test]
     fn verify_cached_recomputes_nothing_on_a_warm_cache() {
-        use crate::cache::RunCache;
         let reg = small_registry();
         let dir = cache_dir("verify");
-        let exec = Executor::new(4);
+        let verify = |cache: &RunCache| {
+            in_process(Batch::registry(&reg, Mode::Verify, 3).with_cache(Some(cache)), 4)
+                .into_verify()
+        };
         let cold_cache = RunCache::open(&dir).unwrap();
-        let cold = exec.verify_all_cached(&reg, 3, Some(&cold_cache));
+        let cold = verify(&cold_cache);
         assert!(cold.all_reproduced());
         assert_eq!(cold.recomputed, reg.len());
         assert_eq!(cold.cached_count(), 0);
         assert_eq!(cold_cache.stats().misses, reg.len() as u64);
 
         let warm_cache = RunCache::open(&dir).unwrap();
-        let warm = exec.verify_all_cached(&reg, 3, Some(&warm_cache));
+        let warm = verify(&warm_cache);
         assert!(warm.all_reproduced());
         assert_eq!(warm.recomputed, 0, "warm cache must recompute zero experiments");
         assert_eq!(warm.cached_count(), reg.len());
@@ -1958,7 +1569,6 @@ mod tests {
 
     #[test]
     fn verify_does_not_cache_nondeterministic_runs() {
-        use crate::cache::RunCache;
         let mut reg = small_registry();
         reg.register(
             "Z-bad",
@@ -1969,12 +1579,16 @@ mod tests {
         );
         let dir = cache_dir("nondet");
         let cache = RunCache::open(&dir).unwrap();
-        let first = Executor::new(2).verify_all_cached(&reg, 3, Some(&cache));
+        let verify = |cache: &RunCache| {
+            in_process(Batch::registry(&reg, Mode::Verify, 3).with_cache(Some(cache)), 2)
+                .into_verify()
+        };
+        let first = verify(&cache);
         assert_eq!(first.violations(), vec!["Z-bad"]);
         // A second pass must re-run (and re-flag) the broken id: failures
         // are never served from the cache.
         let cache2 = RunCache::open(&dir).unwrap();
-        let second = Executor::new(2).verify_all_cached(&reg, 3, Some(&cache2));
+        let second = verify(&cache2);
         assert_eq!(second.violations(), vec!["Z-bad"]);
         assert_eq!(second.recomputed, 1);
         assert_eq!(second.cached_count(), reg.len() - 1);
@@ -2151,14 +1765,8 @@ mod tests {
         reg.register("Z-panic", "w", "broken", Params::new(), Box::new(AlwaysPanics));
         let policy = SupervisePolicy::new(1);
         for jobs in [1, 4] {
-            let report = Executor::new(jobs).verify_all_supervised_with(
-                &reg,
-                3,
-                None,
-                &policy,
-                None,
-                |_, d| d,
-            );
+            let batch = Batch::registry(&reg, Mode::Verify, 3).with_policy(policy);
+            let report = in_process(batch, jobs).into_verify();
             assert_eq!(report.outcomes.len(), 4, "jobs={jobs}: the batch completes");
             let ok: Vec<_> =
                 report.outcomes.iter().filter(|o| o.reproduced).map(|o| o.id.as_str()).collect();
@@ -2186,17 +1794,12 @@ mod tests {
         let reg = small_registry();
         let plan = FaultPlan::transient(5, 1.0);
         let policy = SupervisePolicy::new(plan.max_transient_attempts());
-        let faulted = Executor::new(2).verify_all_supervised_with(
-            &reg,
-            3,
-            None,
-            &policy,
-            Some(&plan),
-            |_, d| d,
-        );
+        let batch =
+            Batch::registry(&reg, Mode::Verify, 3).with_policy(policy).with_plan(Some(&plan));
+        let faulted = in_process(batch, 2).into_verify();
         assert!(faulted.all_reproduced(), "transient faults within budget must reproduce");
         assert!(!faulted.retried().is_empty(), "rate-1.0 transient plan must force retries");
-        let clean = Executor::new(2).verify_all(&reg, 3);
+        let clean = Executor::new(2).verify_all_with(&reg, 3, |_, d| d);
         for (a, b) in faulted.outcomes.iter().zip(clean.outcomes.iter()) {
             assert_eq!(a.fingerprint, b.fingerprint, "{}: chaos must converge to clean", a.id);
         }
@@ -2209,16 +1812,18 @@ mod tests {
     fn run_all_supervised_reports_failures_without_aborting() {
         let mut reg = small_registry();
         reg.register("Z-panic", "w", "broken", Params::new(), Box::new(AlwaysPanics));
-        let (pairs, report) =
-            Executor::new(2).run_all_supervised(&reg, 7, &SupervisePolicy::new(0), None);
-        assert_eq!(pairs.len(), 4);
-        assert_eq!(pairs.iter().filter(|(_, o)| o.is_ok()).count(), 3);
+        let report = in_process(Batch::registry(&reg, Mode::Run, 7), 2);
+        assert!(report.exceeds(DenyPolicy::Error), "a quarantined run gates at error");
+        assert!(!report.exceeds(DenyPolicy::None));
+        let (runs, report) = report.into_run();
+        assert_eq!(runs.len(), 4);
+        assert_eq!(runs.iter().filter(|r| r.outcome.is_ok()).count(), 3);
         assert_eq!(report.failed_runs, 1);
         assert_eq!(report.runs.len(), 3, "quarantined runs contribute no timing");
-        let base = Executor::sequential().run_all(&small_registry(), 7);
-        for ((id, out), (bid, brec)) in pairs.iter().filter(|(_, o)| o.is_ok()).zip(base.iter()) {
-            assert_eq!(id, bid);
-            assert_eq!(out.record().unwrap().trail, brec.trail);
+        let base = Executor::sequential().run_all_report(&small_registry(), 7).0;
+        for (r, (bid, brec)) in runs.iter().filter(|r| r.outcome.is_ok()).zip(base.iter()) {
+            assert_eq!(&r.id, bid);
+            assert_eq!(r.outcome.record().unwrap().trail, brec.trail);
         }
     }
 

@@ -35,9 +35,12 @@
 //! * [`exec`] — the deterministic parallel executor: fans seeds, sweeps
 //!   and registry batches over self-scheduling scoped workers and merges
 //!   in canonical order, so results are bitwise-identical for every
-//!   `--jobs` value. Supervised variants catch panics, enforce per-run
-//!   deadlines and retry under a deterministic backoff, quarantining (not
-//!   aborting on) runs that exhaust their budget.
+//!   `--jobs` value. Every run is supervised: panics are caught, per-run
+//!   deadlines enforced and failed attempts retried under a deterministic
+//!   backoff, quarantining (not aborting on) runs that exhaust their budget.
+//! * [`batch`] — the one batch pipeline: run or verify, one id or the
+//!   whole registry, through one cache rule, cross-check, trace merge and
+//!   deny gate, on an in-process or a sharded [`batch::Backend`].
 //! * [`fault`] — seeded, content-addressed fault injection: a
 //!   [`fault::FaultPlan`] deterministically panics, delays, corrupts or
 //!   transiently fails runs by `(id, seed, attempt)`, so the supervisor's
@@ -68,6 +71,7 @@ pub mod aggregate;
 pub mod artifact;
 pub mod attest;
 pub mod badge;
+pub mod batch;
 pub mod cache;
 pub mod environment;
 pub mod exec;
@@ -83,6 +87,7 @@ pub mod sweep;
 pub mod trace;
 
 pub use attest::{AttestKey, AttestStore, ChainReport, Layout, Link, LinkDraft};
+pub use batch::{Backend, Batch, BatchReport, BatchResult, Mode, RunResult};
 pub use cache::{CacheStats, RunCache};
 pub use exec::{
     DenyPolicy, ExecReport, Executor, FailureKind, RunFailure, RunOutcome, SupervisePolicy,

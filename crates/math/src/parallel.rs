@@ -8,22 +8,16 @@
 //! `&mut` regions, so the compiler proves data-race freedom — no locks, no
 //! atomics on the hot path.
 //!
-//! Two scheduling policies are provided for index-range maps:
-//!
-//! * **static** ([`par_map`]) — contiguous bands, one per worker, fixed up
-//!   front. Zero coordination, but a worker whose band holds the expensive
-//!   items becomes the critical path while the others idle.
-//! * **dynamic** ([`par_map_dynamic`]) — a self-scheduling work queue:
-//!   workers repeatedly claim the next chunk of indices from a shared
-//!   atomic counter, compute out of order, and the results are merged back
-//!   in **index order** after the join. Output is therefore bitwise
-//!   identical to the sequential map regardless of which worker computed
-//!   what, or in what order — scheduling moves wall-clock time, never
-//!   results.
-//!
-//! Both are deterministic in the only sense that matters here (output ==
-//! sequential output); dynamic additionally keeps workers busy under
-//! skewed per-item costs, and reports per-worker load via [`SchedStats`].
+//! Index-range maps use **dynamic** scheduling ([`par_map_dynamic`]) — a
+//! self-scheduling work queue: workers repeatedly claim the next chunk of
+//! indices from a shared atomic counter, compute out of order, and the
+//! results are merged back in **index order** after the join. Output is
+//! therefore bitwise identical to the sequential map regardless of which
+//! worker computed what, or in what order — scheduling moves wall-clock
+//! time, never results — and workers stay busy under skewed per-item
+//! costs, with per-worker load reported via [`SchedStats`]. (The
+//! static-band baseline the benches compare against lives in
+//! `treu-bench`.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -67,55 +61,6 @@ pub fn for_each_band(
         }
     })
     .expect("parallel band worker panicked");
-}
-
-/// Applies `f` to every index in `0..n` across `threads` scoped workers and
-/// collects the results in index order — **static** scheduling.
-///
-/// Work is split into contiguous ranges, one per worker; each worker fills
-/// its own disjoint band of `Option<T>` slots, so any `Send` result type
-/// works (no `Default + Clone` required). Deterministic: output order
-/// never depends on thread scheduling.
-pub fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let band = n.div_ceil(threads);
-    crossbeam::scope(|s| {
-        let mut rest = out.as_mut_slice();
-        let mut i0 = 0;
-        while !rest.is_empty() {
-            let take = band.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let fr = &f;
-            let start = i0;
-            s.spawn(move |_| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(fr(start + k));
-                }
-            });
-            i0 += take;
-            rest = tail;
-        }
-    })
-    .expect("parallel map worker panicked");
-    out.into_iter().map(|o| o.expect("worker filled every slot")).collect()
-}
-
-/// Alias of [`par_map`], kept for callers written against the old split
-/// API (`par_map` once required `T: Default + Clone`; this was the
-/// unbounded variant before the two merged).
-pub fn par_map_into<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map(n, threads, f)
 }
 
 /// Per-worker load accounting for one [`par_map_dynamic_stats`] call.
@@ -414,21 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_is_in_order() {
-        for threads in [1, 2, 5, 16] {
-            let v = par_map(23, threads, |i| i * i);
-            let expect: Vec<usize> = (0..23).map(|i| i * i).collect();
-            assert_eq!(v, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_empty() {
-        let v: Vec<u64> = par_map(0, 4, |_| 1);
-        assert!(v.is_empty());
-    }
-
-    #[test]
     fn adaptive_chunk_is_positive_for_every_input_shape() {
         // n == 0, threads == 0, threads > n, threads * 8 > n: all the
         // degenerate shapes an empty or tiny registry produces. A zero
@@ -464,43 +394,6 @@ mod tests {
         assert_eq!(sched.items.iter().sum::<usize>(), 3);
     }
 
-    /// A result type that is deliberately neither `Default` nor `Clone`:
-    /// the satellite fix is that `par_map` no longer needs either.
-    struct NoDefaultNoClone(String);
-
-    #[test]
-    fn par_map_works_without_default_or_clone() {
-        for threads in [1, 2, 5, 16] {
-            let v = par_map(23, threads, |i| NoDefaultNoClone(format!("r{i}")));
-            let got: Vec<&str> = v.iter().map(|x| x.0.as_str()).collect();
-            let expect: Vec<String> = (0..23).map(|i| format!("r{i}")).collect();
-            assert_eq!(
-                got,
-                expect.iter().map(String::as_str).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_map_into_is_in_order_without_default() {
-        // String is Clone but the point is the missing Default-based
-        // preallocation: a non-trivial, heap-owning type round-trips.
-        for threads in [1, 2, 5, 16] {
-            let v = par_map_into(23, threads, |i| format!("r{i}"));
-            let expect: Vec<String> = (0..23).map(|i| format!("r{i}")).collect();
-            assert_eq!(v, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_into_empty_and_oversubscribed() {
-        let v: Vec<String> = par_map_into(0, 4, |_| String::new());
-        assert!(v.is_empty());
-        let v = par_map_into(3, 64, |i| i * 10);
-        assert_eq!(v, vec![0, 10, 20]);
-    }
-
     #[test]
     fn par_map_dynamic_matches_sequential_everywhere() {
         let expect: Vec<usize> = (0..97).map(|i| i * i + 1).collect();
@@ -523,6 +416,9 @@ mod tests {
         let v = par_map_dynamic(1, 8, |i| i + 41);
         assert_eq!(v, vec![41]);
     }
+
+    /// A result type that is deliberately neither `Default` nor `Clone`.
+    struct NoDefaultNoClone(String);
 
     #[test]
     fn par_map_dynamic_handles_nondefault_types() {

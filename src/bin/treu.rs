@@ -34,8 +34,8 @@
 //! every `--jobs` count. `treu trace DIR` renders stored traces and
 //! `treu trace DIR --check` re-verifies them against their addresses.
 //!
-//! Registry-wide `run`, `verify`, `chaos` and `soak` accept `--workers
-//! N`: the batch is sharded across N supervised `treu worker`
+//! `run`, `verify`, `chaos` and `soak` accept `--workers N`: the batch
+//! is sharded across N supervised `treu worker`
 //! subprocesses speaking a length-prefixed frame protocol over
 //! stdin/stdout. `--kill-plan SEED` arms a seeded chaos monkey that
 //! SIGKILLs workers mid-shard (`--kill-rate F` tunes it),
@@ -63,26 +63,27 @@
 //! `--fault-panic ID` makes one id fail permanently, and `--deny
 //! none|warn|error` decides what findings flip the exit code. Runs that
 //! exhaust their budget are quarantined with a taxonomy, never fatal to
-//! the batch.
+//! the batch. One id or the whole registry, every `run` and `verify` is
+//! one [`treu::core::batch::Batch`].
 
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use treu::core::artifact::Artifact;
 use treu::core::attest::{
     hash_bytes, verify_chain, AttestKey, AttestStore, Layout, Link, LinkDraft, VerifyContext,
 };
 use treu::core::badge::{evaluate, Badge, ClaimCheck};
+use treu::core::batch::{Backend, Batch, BatchReport, BatchResult, Mode};
 use treu::core::cache::{run_entry_file, CacheBound, RunCache};
 use treu::core::environment::Environment;
-use treu::core::exec::{
-    run_supervised_traced, DenyPolicy, Executor, FailureKind, RunOutcome, SupervisePolicy,
-};
+use treu::core::exec::{attempts_note, DenyPolicy, Executor, RunOutcome, SupervisePolicy};
 use treu::core::experiment::Params;
 use treu::core::fault::{FaultPlan, KillPlan};
-use treu::core::svc::{run_all_svc, verify_all_svc, worker_loop, SvcConfig};
+use treu::core::svc::{worker_loop, SvcConfig};
 use treu::core::trace::{
     check_trace_file, parse_times, parse_trace, render_slowest, render_timeline,
-    render_worker_table, AttemptOutcome, BatchTrace, CacheResult, RunTrace, TraceEvent,
+    render_worker_table, BatchTrace,
 };
 use treu::core::ExperimentRegistry;
 use treu::lint::{DenyLevel, Lint, RuleId, Workspace};
@@ -128,12 +129,14 @@ impl Supervision {
     fn deny(&self) -> DenyPolicy {
         self.deny.unwrap_or(DenyPolicy::Error)
     }
+}
 
-    /// True when any supervision behaviour beyond "run it plain" is
-    /// requested — the plain paths stay bit-for-bit what they were.
-    fn active(&self) -> bool {
-        self.plan().is_some() || self.retries.is_some() || self.deadline_secs.is_some()
-    }
+/// Unwraps a flag-parsing result, exiting 2 with the usage error.
+fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -153,56 +156,30 @@ fn main() {
         }
         return;
     }
-    let jobs = match extract_jobs(&mut args) {
-        Ok(j) => j,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let cache = match extract_cache(&mut args) {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = or_usage(
+        take_parsed(
+            &mut args,
+            &["--jobs", "-j"],
+            "--jobs value",
+            "a positive integer",
+            |j: &usize| *j >= 1,
+        )
+        .map(|j| j.unwrap_or_else(treu::math::parallel::default_threads)),
+    );
+    let cache = or_usage(extract_cache(&mut args));
     let cache = cache.as_ref();
-    let trace_out = match extract_trace_out(&mut args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let trace_out: Option<PathBuf> =
+        or_usage(take_parsed(&mut args, &["--trace-out"], "--trace-out", "a path", any));
     let trace_out = trace_out.as_deref();
-    let svc = match extract_svc(&mut args) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let svc = or_usage(extract_svc(&mut args));
     let svc = svc.as_ref();
-    let attest = match extract_attest(&mut args) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let attest = or_usage(extract_attest(&mut args));
     let attest = attest.as_ref();
     // `lint` owns its own `--deny` flag; leave its arguments untouched.
     let sup = if args.first().map(String::as_str) == Some("lint") {
         Supervision::default()
     } else {
-        match extract_supervision(&mut args) {
-            Ok(s) => s,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        or_usage(extract_supervision(&mut args))
     };
     let chaos = args.first().map(String::as_str) == Some("chaos");
     let soak = args.first().map(String::as_str) == Some("soak");
@@ -216,295 +193,57 @@ fn main() {
     let seed_arg = |i: usize| -> u64 { args.get(i).and_then(|s| s.parse().ok()).unwrap_or(2023) };
     match args.first().map(String::as_str) {
         Some("list") => print!("{}", reg.render_index()),
-        Some("run") => match args.get(1) {
-            Some(id) => {
-                let seed = seed_arg(2);
-                let Some(entry) = reg.get(id) else {
+        Some(cmd @ ("run" | "verify")) => {
+            // One id, or the whole registry: either way one batch, built,
+            // executed, printed, traced and sealed the same way.
+            let mode = if cmd == "run" { Mode::Run } else { Mode::Verify };
+            let single = args.get(1);
+            let ids = match single {
+                Some(id) if reg.get(id).is_none() => {
                     eprintln!("unknown experiment id '{id}'; try `treu list`");
                     std::process::exit(1);
-                };
-                if attest.is_some() {
-                    eprintln!(
-                        "attest: links attest whole-registry batches; \
-                         --attest-dir is ignored for a single-id run"
-                    );
                 }
-                if sup.active() {
-                    // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                    let epoch = std::time::Instant::now();
-                    let mut rt = trace_out.map(|_| RunTrace::new(id, seed));
-                    if let Some(rt) = rt.as_mut() {
-                        rt.push(TraceEvent::Claim { replica: 0 }, 0.0);
-                    }
-                    // Supervised runs bypass the cache: a faulted trail
-                    // must never be stored as the experiment's record.
-                    let out = run_supervised_traced(
-                        entry.runner(),
-                        id,
-                        seed,
-                        &entry.defaults,
-                        &sup.policy(),
-                        sup.plan().as_ref(),
-                        0,
-                        rt.as_mut().map(|rt| (rt, epoch)),
-                    );
-                    let gate = match out {
-                        RunOutcome::Ok { record, attempts } => {
-                            println!(
-                                "{} (seed {}, {:.3}s, fingerprint {:#018x}){}",
-                                record.name,
-                                record.seed,
-                                record.wall_seconds,
-                                record.fingerprint(),
-                                if attempts > 1 {
-                                    format!(" [after {attempts} attempts]")
-                                } else {
-                                    String::new()
-                                }
-                            );
-                            print!("{}", record.trail.render());
-                            attempts > 1 && sup.deny() == DenyPolicy::Warn
-                        }
-                        RunOutcome::Failed(f) => {
-                            println!(
-                                "{id}: QUARANTINED({}) after {} attempt(s): {}",
-                                f.taxonomy.name(),
-                                f.attempts,
-                                f.last_error
-                            );
-                            sup.deny() != DenyPolicy::None
-                        }
-                    };
-                    if let (Some(dir), Some(rt)) = (trace_out, rt) {
-                        let mut trace = BatchTrace::empty("run", seed);
-                        trace.jobs = 1;
-                        trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                        trace.runs.push(rt);
-                        write_trace(&trace, dir);
-                    }
-                    if gate {
-                        std::process::exit(1);
-                    }
-                    return;
-                }
-                // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                let epoch = std::time::Instant::now();
-                let mut rt = trace_out.map(|_| RunTrace::new(id, seed));
-                let hit = cache.and_then(|c| c.lookup(id, seed, &entry.defaults));
-                let cached = hit.is_some();
-                if let (Some(rt), Some(_)) = (rt.as_mut(), cache) {
-                    let result = if cached { CacheResult::Hit } else { CacheResult::Miss };
-                    rt.push(TraceEvent::Cache { result }, epoch.elapsed().as_secs_f64());
-                }
-                let rec = match hit {
-                    Some(rec) => rec,
-                    None => {
-                        if let Some(rt) = rt.as_mut() {
-                            let at = epoch.elapsed().as_secs_f64();
-                            rt.push(TraceEvent::Claim { replica: 0 }, at);
-                            rt.push(TraceEvent::AttemptStart { replica: 0, attempt: 0 }, at);
-                        }
-                        let rec = reg.run(id, seed).expect("id checked above");
-                        if let Some(rt) = rt.as_mut() {
-                            rt.push(
-                                TraceEvent::AttemptEnd {
-                                    replica: 0,
-                                    attempt: 0,
-                                    outcome: AttemptOutcome::Ok,
-                                },
-                                epoch.elapsed().as_secs_f64(),
-                            );
-                        }
-                        if let Some(c) = cache {
-                            match c.store(id, seed, &entry.defaults, &rec) {
-                                Ok(()) => {
-                                    if let Some(rt) = rt.as_mut() {
-                                        rt.push(
-                                            TraceEvent::CacheStored,
-                                            epoch.elapsed().as_secs_f64(),
-                                        );
-                                    }
-                                }
-                                Err(e) => eprintln!("cache: store failed: {e}"),
-                            }
-                        }
-                        rec
-                    }
-                };
-                println!(
-                    "{} (seed {}, {:.3}s, fingerprint {:#018x}){}",
-                    rec.name,
-                    rec.seed,
-                    rec.wall_seconds,
-                    rec.fingerprint(),
-                    if cached { " [cached]" } else { "" }
+                Some(id) => vec![id.clone()],
+                None => reg.iter().map(|(id, _)| id.to_string()).collect(),
+            };
+            if single.is_some() && attest.is_some() {
+                eprintln!(
+                    "attest: links attest whole-registry batches; \
+                     --attest-dir is ignored for a single-id {cmd}"
                 );
-                print!("{}", rec.trail.render());
-                if let Some(c) = cache {
-                    print!("{}", c.render_stats());
-                }
-                if let (Some(dir), Some(rt)) = (trace_out, rt) {
-                    let mut trace = BatchTrace::empty("run", seed);
-                    trace.jobs = 1;
-                    trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                    trace.runs.push(rt);
-                    write_trace(&trace, dir);
-                }
             }
-            // No id: run the whole registry through the executor.
-            None => {
-                if let Some(svc) = svc {
-                    let (pairs, report, stats) = run_all_svc(
-                        &reg,
-                        seed_arg(1),
-                        cache,
-                        &sup.policy(),
-                        sup.plan().as_ref(),
-                        svc.config(jobs, true),
-                    )
-                    .unwrap_or_else(|e| {
-                        eprintln!("svc: {e}");
-                        std::process::exit(2);
-                    });
-                    for (id, out) in &pairs {
-                        match out {
-                            RunOutcome::Ok { record, attempts } => println!(
-                                "{:<10} {} (seed {}, fingerprint {:#018x}){}",
-                                id,
-                                record.name,
-                                record.seed,
-                                record.fingerprint(),
-                                if *attempts > 1 {
-                                    format!(" [after {attempts} attempts]")
-                                } else {
-                                    String::new()
-                                }
-                            ),
-                            RunOutcome::Failed(f) => println!(
-                                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
-                                id,
-                                f.taxonomy.name(),
-                                f.attempts,
-                                f.last_error
-                            ),
-                        }
-                    }
-                    println!();
-                    print!("{}", report.render());
-                    println!("{}", stats.render());
-                    if let Some(c) = cache {
-                        print!("{}", c.render_stats());
-                    }
-                    if let Some(dir) = trace_out {
-                        write_trace(&report.trace, dir);
-                    }
-                    if let Some(at) = attest {
-                        // Coordinator-side only: workers never touch the chain.
-                        let mut d = LinkDraft::new("run", seed_arg(1));
-                        d.absorb_run_outcomes(&pairs);
-                        attest_emit(
-                            at,
-                            &reg,
-                            d,
-                            cache,
-                            &|_, p| p,
-                            trace_out.map(|_| &report.trace),
-                        );
-                    }
-                    let retried = pairs.iter().any(|(_, o)| o.is_ok() && o.attempts() > 1);
-                    let gated = match sup.deny() {
-                        DenyPolicy::None => false,
-                        DenyPolicy::Error => report.failed_runs > 0,
-                        DenyPolicy::Warn => report.failed_runs > 0 || retried,
-                    };
-                    if gated {
-                        std::process::exit(1);
-                    }
-                    return;
-                }
-                if sup.active() {
-                    let (pairs, report) = exec.run_all_supervised(
-                        &reg,
-                        seed_arg(1),
-                        &sup.policy(),
-                        sup.plan().as_ref(),
-                    );
-                    for (id, out) in &pairs {
-                        match out {
-                            RunOutcome::Ok { record, attempts } => println!(
-                                "{:<10} {} (seed {}, fingerprint {:#018x}){}",
-                                id,
-                                record.name,
-                                record.seed,
-                                record.fingerprint(),
-                                if *attempts > 1 {
-                                    format!(" [after {attempts} attempts]")
-                                } else {
-                                    String::new()
-                                }
-                            ),
-                            RunOutcome::Failed(f) => println!(
-                                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
-                                id,
-                                f.taxonomy.name(),
-                                f.attempts,
-                                f.last_error
-                            ),
-                        }
-                    }
-                    println!();
-                    print!("{}", report.render());
-                    if let Some(dir) = trace_out {
-                        write_trace(&report.trace, dir);
-                    }
-                    if let Some(at) = attest {
-                        let mut d = LinkDraft::new("run", seed_arg(1));
-                        d.absorb_run_outcomes(&pairs);
-                        attest_emit(
-                            at,
-                            &reg,
-                            d,
-                            cache,
-                            &|_, p| p,
-                            trace_out.map(|_| &report.trace),
-                        );
-                    }
-                    let retried = pairs.iter().any(|(_, o)| o.is_ok() && o.attempts() > 1);
-                    let gated = match sup.deny() {
-                        DenyPolicy::None => false,
-                        DenyPolicy::Error => report.failed_runs > 0,
-                        DenyPolicy::Warn => report.failed_runs > 0 || retried,
-                    };
-                    if gated {
-                        std::process::exit(1);
-                    }
-                    return;
-                }
-                let (records, report) = exec.run_all_report_cached(&reg, seed_arg(1), cache);
-                for (id, rec) in &records {
-                    println!(
-                        "{:<10} {} (seed {}, fingerprint {:#018x})",
-                        id,
-                        rec.name,
-                        rec.seed,
-                        rec.fingerprint()
-                    );
-                }
-                println!();
-                print!("{}", report.render());
-                if let Some(c) = cache {
-                    print!("{}", c.render_stats());
-                }
-                if let Some(dir) = trace_out {
-                    write_trace(&report.trace, dir);
-                }
-                if let Some(at) = attest {
-                    let mut d = LinkDraft::new("run", seed_arg(1));
-                    d.absorb_run_records(&records);
-                    attest_emit(at, &reg, d, cache, &|_, p| p, trace_out.map(|_| &report.trace));
-                }
+            let seed = seed_arg(2);
+            let params =
+                |id: &str, d| if sup.conformance { treu::conformance_params(id) } else { d };
+            let plan = sup.plan();
+            let batch = Batch::new(&reg, ids, mode, seed)
+                .with_params(params)
+                .with_cache(cache)
+                .with_policy(sup.policy())
+                .with_plan(plan.as_ref());
+            let report = execute(&batch, svc, jobs);
+            print_batch(&report, single.is_some());
+            if let Some(c) = cache {
+                print!("{}", c.render_stats());
             }
-        },
+            if let Some(dir) = trace_out {
+                write_trace(report.trace(), dir);
+            }
+            if let (Some(at), None) = (attest, single) {
+                // Coordinator-side only: workers never see the chain, so
+                // link bytes are topology-invariant.
+                let mut d = LinkDraft::new(mode.name(), seed);
+                match &report.result {
+                    BatchResult::Run { runs, .. } => d.absorb_runs(runs),
+                    BatchResult::Verify(r) => d.absorb_verify(r),
+                }
+                attest_emit(at, &reg, d, cache, &params, trace_out.map(|_| report.trace()));
+            }
+            if report.exceeds(sup.deny()) {
+                std::process::exit(1);
+            }
+        }
+
         Some("tables") => {
             let seed = seed_arg(1);
             let tag = seed.to_string();
@@ -535,283 +274,6 @@ fn main() {
             print!("{out}");
             if let Some(c) = cache {
                 print!("{}", c.render_stats());
-            }
-        }
-        Some("verify") => {
-            let seed = seed_arg(2);
-            match args.get(1) {
-                Some(id) => {
-                    let Some(entry) = reg.get(id) else {
-                        eprintln!("unknown experiment id '{id}'");
-                        std::process::exit(1);
-                    };
-                    if attest.is_some() {
-                        eprintln!(
-                            "attest: links attest whole-registry batches; \
-                             --attest-dir is ignored for a single-id verify"
-                        );
-                    }
-                    if sup.active() {
-                        let policy = sup.policy();
-                        let plan = sup.plan();
-                        // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                        let epoch = std::time::Instant::now();
-                        let tracing = trace_out.is_some();
-                        let pairs = exec.map_indexed(2, |i| {
-                            let mut rt = tracing.then(|| RunTrace::new(id, seed));
-                            if let Some(rt) = rt.as_mut() {
-                                rt.push(
-                                    TraceEvent::Claim { replica: i as u32 },
-                                    epoch.elapsed().as_secs_f64(),
-                                );
-                            }
-                            let out = run_supervised_traced(
-                                entry.runner(),
-                                id,
-                                seed,
-                                &entry.defaults,
-                                &policy,
-                                plan.as_ref(),
-                                i as u32,
-                                rt.as_mut().map(|rt| (rt, epoch)),
-                            );
-                            (out, rt)
-                        });
-                        let (outs, rts): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-                        let (gate, verdict) = match (&outs[0], &outs[1]) {
-                            (
-                                RunOutcome::Ok { record: a, attempts: aa },
-                                RunOutcome::Ok { record: b, attempts: ab },
-                            ) if a.trail == b.trail => {
-                                let attempts = (*aa).max(*ab);
-                                println!(
-                                    "{id}: REPRODUCED (fingerprint {:#018x}){}",
-                                    a.fingerprint(),
-                                    if attempts > 1 {
-                                        format!(" [after {attempts} attempts]")
-                                    } else {
-                                        String::new()
-                                    }
-                                );
-                                let gate = attempts > 1 && sup.deny() == DenyPolicy::Warn;
-                                (gate, (true, attempts, a.fingerprint(), None))
-                            }
-                            (
-                                RunOutcome::Ok { record: a, attempts: aa },
-                                RunOutcome::Ok { attempts: ab, .. },
-                            ) => {
-                                println!("{id}: MISMATCH — run is not deterministic");
-                                (
-                                    sup.deny() != DenyPolicy::None,
-                                    (
-                                        false,
-                                        (*aa).max(*ab),
-                                        a.fingerprint(),
-                                        Some(FailureKind::Nondeterministic.name()),
-                                    ),
-                                )
-                            }
-                            _ => {
-                                let f = outs
-                                    .iter()
-                                    .find_map(|o| match o {
-                                        RunOutcome::Failed(f) => Some(f),
-                                        RunOutcome::Ok { .. } => None,
-                                    })
-                                    .expect("a non-ok pair contains a failure");
-                                println!(
-                                    "{id}: QUARANTINED({}) after {} attempt(s): {}",
-                                    f.taxonomy.name(),
-                                    f.attempts,
-                                    f.last_error
-                                );
-                                (
-                                    sup.deny() != DenyPolicy::None,
-                                    (false, f.attempts, 0, Some(f.taxonomy.name())),
-                                )
-                            }
-                        };
-                        if let Some(dir) = trace_out {
-                            let mut merged = RunTrace::new(id, seed);
-                            for rt in rts.into_iter().flatten() {
-                                merged.absorb(rt);
-                            }
-                            let (reproduced, attempts, fingerprint, failure) = verdict;
-                            merged.push(
-                                TraceEvent::Verdict {
-                                    reproduced,
-                                    cached: false,
-                                    attempts,
-                                    fingerprint,
-                                    failure,
-                                },
-                                epoch.elapsed().as_secs_f64(),
-                            );
-                            let mut trace = BatchTrace::empty("verify", seed);
-                            trace.jobs = jobs;
-                            trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                            trace.runs.push(merged);
-                            write_trace(&trace, dir);
-                        }
-                        if gate {
-                            std::process::exit(1);
-                        }
-                        return;
-                    }
-                    // treu-lint: allow(wall-clock, reason = "trace timestamps live in the non-hashed sidecar")
-                    let epoch = std::time::Instant::now();
-                    let mut rt = trace_out.map(|_| RunTrace::new(id, seed));
-                    let write_verify_trace = |rt: RunTrace, dir: &Path| {
-                        let mut trace = BatchTrace::empty("verify", seed);
-                        trace.jobs = jobs;
-                        trace.wall_seconds = epoch.elapsed().as_secs_f64();
-                        trace.runs.push(rt);
-                        write_trace(&trace, dir);
-                    };
-                    if let Some(rec) = cache.and_then(|c| c.lookup(id, seed, &entry.defaults)) {
-                        // A cached trail was produced by a verified run under
-                        // the same code+env fingerprint: reproduced by replay.
-                        println!(
-                            "{id}: REPRODUCED [cached] (fingerprint {:#018x})",
-                            rec.fingerprint()
-                        );
-                        if let Some(c) = cache {
-                            print!("{}", c.render_stats());
-                        }
-                        if let (Some(dir), Some(mut rt)) = (trace_out, rt) {
-                            let at = epoch.elapsed().as_secs_f64();
-                            rt.push(TraceEvent::Cache { result: CacheResult::Hit }, at);
-                            rt.push(
-                                TraceEvent::Verdict {
-                                    reproduced: true,
-                                    cached: true,
-                                    attempts: 1,
-                                    fingerprint: rec.fingerprint(),
-                                    failure: None,
-                                },
-                                at,
-                            );
-                            write_verify_trace(rt, dir);
-                        }
-                        return;
-                    }
-                    if let (Some(rt), Some(_)) = (rt.as_mut(), cache) {
-                        let at = epoch.elapsed().as_secs_f64();
-                        rt.push(TraceEvent::Cache { result: CacheResult::Miss }, at);
-                    }
-                    // Two concurrent replicas of the same run.
-                    let runs =
-                        exec.map_indexed(2, |_| reg.run(id, seed).expect("id checked above"));
-                    if let Some(rt) = rt.as_mut() {
-                        let at = epoch.elapsed().as_secs_f64();
-                        for replica in 0..2u32 {
-                            rt.push(TraceEvent::Claim { replica }, at);
-                            rt.push(TraceEvent::AttemptStart { replica, attempt: 0 }, at);
-                            rt.push(
-                                TraceEvent::AttemptEnd {
-                                    replica,
-                                    attempt: 0,
-                                    outcome: AttemptOutcome::Ok,
-                                },
-                                at,
-                            );
-                        }
-                    }
-                    let reproduced = runs[0].trail == runs[1].trail;
-                    if reproduced {
-                        if let Some(c) = cache {
-                            match c.store(id, seed, &entry.defaults, &runs[0]) {
-                                Ok(()) => {
-                                    if let Some(rt) = rt.as_mut() {
-                                        rt.push(
-                                            TraceEvent::CacheStored,
-                                            epoch.elapsed().as_secs_f64(),
-                                        );
-                                    }
-                                }
-                                Err(e) => eprintln!("cache: store failed: {e}"),
-                            }
-                        }
-                        println!("{id}: REPRODUCED (fingerprint {:#018x})", runs[0].fingerprint());
-                        if let Some(c) = cache {
-                            print!("{}", c.render_stats());
-                        }
-                    } else {
-                        println!("{id}: MISMATCH — run is not deterministic");
-                    }
-                    if let (Some(dir), Some(mut rt)) = (trace_out, rt.take()) {
-                        rt.push(
-                            TraceEvent::Verdict {
-                                reproduced,
-                                cached: false,
-                                attempts: 1,
-                                fingerprint: runs[0].fingerprint(),
-                                failure: (!reproduced)
-                                    .then(|| FailureKind::Nondeterministic.name()),
-                            },
-                            epoch.elapsed().as_secs_f64(),
-                        );
-                        write_verify_trace(rt, dir);
-                    }
-                    if !reproduced {
-                        std::process::exit(1);
-                    }
-                }
-                // No id: verify the whole registry under supervision
-                // (with default flags this is exactly the old behaviour).
-                None => {
-                    let params = |id: &str, d| {
-                        if sup.conformance {
-                            treu::conformance_params(id)
-                        } else {
-                            d
-                        }
-                    };
-                    let report = match svc {
-                        Some(svc) => {
-                            let (report, stats) = verify_all_svc(
-                                &reg,
-                                seed_arg(1),
-                                cache,
-                                &sup.policy(),
-                                sup.plan().as_ref(),
-                                params,
-                                svc.config(jobs, true),
-                            )
-                            .unwrap_or_else(|e| {
-                                eprintln!("svc: {e}");
-                                std::process::exit(2);
-                            });
-                            println!("{}", stats.render());
-                            report
-                        }
-                        None => exec.verify_all_supervised_with(
-                            &reg,
-                            seed_arg(1),
-                            cache,
-                            &sup.policy(),
-                            sup.plan().as_ref(),
-                            params,
-                        ),
-                    };
-                    print!("{}", report.render());
-                    if let Some(c) = cache {
-                        print!("{}", c.render_stats());
-                    }
-                    if let Some(dir) = trace_out {
-                        write_trace(&report.trace, dir);
-                    }
-                    if let Some(at) = attest {
-                        // Coordinator-side only: the svc workers never see
-                        // the chain, so link bytes are topology-invariant.
-                        let mut d = LinkDraft::new("verify", seed_arg(1));
-                        d.absorb_verify(&report);
-                        attest_emit(at, &reg, d, cache, &params, trace_out.map(|_| &report.trace));
-                    }
-                    if report.exceeds(sup.deny()) {
-                        std::process::exit(1);
-                    }
-                }
             }
         }
         Some("env") => print!("{}", Environment::capture().render()),
@@ -1171,32 +633,19 @@ fn run_chaos(
     });
     // The same registry under injected transient chaos — through the
     // sharded service when --workers is given, in-process otherwise.
-    let mut svc_stats = None;
-    let mut report = match svc {
-        Some(o) => {
-            let (r, stats) =
-                verify_all_svc(reg, seed, None, &policy, Some(&plan), params, o.config(jobs, true))
-                    .unwrap_or_else(|e| {
-                        eprintln!("svc: {e}");
-                        std::process::exit(2);
-                    });
-            svc_stats = Some(stats);
-            r
-        }
-        None => exec.verify_all_supervised_with(reg, seed, None, &policy, Some(&plan), params),
-    };
+    let batch = Batch::registry(reg, Mode::Verify, seed)
+        .with_params(params)
+        .with_policy(policy)
+        .with_plan(Some(&plan));
+    let report = execute(&batch, svc, jobs);
+    let svc_stats = report.svc;
+    let mut report = report.into_verify();
     let mut diverged = 0usize;
     let mut quarantined = 0usize;
     for (o, base) in report.outcomes.iter().zip(&baseline) {
         if let Some(f) = &o.failure {
             quarantined += 1;
-            println!(
-                "{:<10} QUARANTINED({}) after {} attempt(s): {}",
-                o.id,
-                f.taxonomy.name(),
-                f.attempts,
-                f.last_error
-            );
+            println!("{:<10} {f}", o.id);
         } else if o.fingerprint != *base {
             diverged += 1;
             println!(
@@ -1348,75 +797,90 @@ fn run_lint(args: &[String], jobs: usize) {
     }
 }
 
+/// Removes the first `FLAG VALUE` (or `FLAG=VALUE`) from `args` and
+/// returns the value; `Ok(None)` when the flag is absent.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let joined = format!("{flag}=");
+    let Some(i) = args.iter().position(|a| a == flag || a.starts_with(&joined)) else {
+        return Ok(None);
+    };
+    let arg = args.remove(i);
+    if let Some(v) = arg.strip_prefix(&joined) {
+        return Ok(Some(v.to_string()));
+    }
+    if i >= args.len() {
+        return Err(format!("{flag} requires a value"));
+    }
+    Ok(Some(args.remove(i)))
+}
+
+/// Removes every occurrence of the boolean `flag`; true when present.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() < before
+}
+
+/// Removes every occurrence of each of `flags` (aliases; the last value
+/// wins) and parses it. A value that does not parse, or that `ok`
+/// rejects, is the usage error `invalid {name} '{value}' (want {want})`.
+fn take_parsed<T: FromStr>(
+    args: &mut Vec<String>,
+    flags: &[&str],
+    name: &str,
+    want: &str,
+    ok: fn(&T) -> bool,
+) -> Result<Option<T>, String> {
+    let mut out = None;
+    for flag in flags {
+        while let Some(v) = take_value(args, flag)? {
+            let parsed = v.parse().ok().filter(ok);
+            out = Some(parsed.ok_or_else(|| format!("invalid {name} '{v}' (want {want})"))?);
+        }
+    }
+    Ok(out)
+}
+
+/// The [`take_parsed`] check for flags whose every parsed value is valid.
+fn any<T>(_: &T) -> bool {
+    true
+}
+
 /// Removes the supervision flags from `args`: `--retries N`,
 /// `--deadline-secs F`, `--fault-seed S`, `--fault-rate F` (alias
 /// `--rate F`), `--fault-panic ID` (repeatable), `--deny
 /// none|warn|error`, and the boolean `--enforce` / `--full` /
 /// `--conformance`.
 fn extract_supervision(args: &mut Vec<String>) -> Result<Supervision, String> {
-    let mut sup = Supervision::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                args.remove(i);
-                return Ok(Some(v.to_string()));
-            }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    return Err(format!("{flag} requires a value"));
-                }
-                let v = args.remove(i + 1);
-                args.remove(i);
-                return Ok(Some(v));
-            }
-            Ok(None)
-        };
-        if let Some(v) = take("--retries")? {
-            sup.retries = Some(
-                v.parse::<u32>()
-                    .map_err(|_| format!("invalid --retries value '{v}' (want an integer)"))?,
-            );
-        } else if let Some(v) = take("--deadline-secs")? {
-            sup.deadline_secs = Some(
-                v.parse::<f64>()
-                    .map_err(|_| format!("invalid --deadline-secs value '{v}' (want seconds)"))?,
-            );
-        } else if let Some(v) = take("--fault-seed")? {
-            sup.fault_seed = Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("invalid --fault-seed value '{v}' (want an integer)"))?,
-            );
-        } else if let Some(v) = match take("--fault-rate")? {
-            Some(v) => Some(v),
-            None => take("--rate")?,
-        } {
-            let rate = v
-                .parse::<f64>()
-                .ok()
-                .filter(|r| (0.0..=1.0).contains(r))
-                .ok_or_else(|| format!("invalid fault rate '{v}' (want 0.0..=1.0)"))?;
-            sup.fault_rate = Some(rate);
-        } else if let Some(v) = take("--fault-panic")? {
-            sup.fault_panic.push(v);
-        } else if let Some(v) = take("--deny")? {
-            sup.deny = Some(
-                DenyPolicy::parse(&v)
-                    .ok_or_else(|| format!("invalid --deny '{v}' (want none|warn|error)"))?,
-            );
-        } else if arg == "--enforce" {
-            sup.enforce = true;
-            args.remove(i);
-        } else if arg == "--full" {
-            sup.full = true;
-            args.remove(i);
-        } else if arg == "--conformance" {
-            sup.conformance = true;
-            args.remove(i);
-        } else {
-            i += 1;
-        }
+    let mut sup = Supervision {
+        retries: take_parsed(args, &["--retries"], "--retries value", "an integer", any)?,
+        deadline_secs: take_parsed(
+            args,
+            &["--deadline-secs"],
+            "--deadline-secs value",
+            "seconds",
+            any,
+        )?,
+        fault_seed: take_parsed(args, &["--fault-seed"], "--fault-seed value", "an integer", any)?,
+        fault_rate: take_parsed(
+            args,
+            &["--fault-rate", "--rate"],
+            "fault rate",
+            "0.0..=1.0",
+            |r| (0.0..=1.0).contains(r),
+        )?,
+        enforce: take_flag(args, "--enforce"),
+        full: take_flag(args, "--full"),
+        conformance: take_flag(args, "--conformance"),
+        ..Supervision::default()
+    };
+    while let Some(v) = take_value(args, "--fault-panic")? {
+        sup.fault_panic.push(v);
+    }
+    while let Some(v) = take_value(args, "--deny")? {
+        let deny = DenyPolicy::parse(&v);
+        sup.deny =
+            Some(deny.ok_or_else(|| format!("invalid --deny '{v}' (want none|warn|error)"))?);
     }
     Ok(sup)
 }
@@ -1433,8 +897,8 @@ struct SvcOpts {
 impl SvcOpts {
     /// The pool configuration these flags ask for. `jobs` is the
     /// *per-worker* thread count (the shared `--jobs` flag).
-    fn config(&self, jobs: usize, tracing: bool) -> SvcConfig {
-        let mut cfg = SvcConfig::new(self.workers).with_jobs(jobs).with_tracing(tracing);
+    fn config(&self, jobs: usize) -> SvcConfig {
+        let mut cfg = SvcConfig::new(self.workers).with_jobs(jobs);
         if let Some(n) = self.respawn_budget {
             cfg = cfg.with_respawn_budget(n);
         }
@@ -1459,72 +923,102 @@ impl SvcOpts {
 /// `--respawn-budget N` bounds respawns per slot before degradation, and
 /// `--shard-size N` overrides the auto shard size.
 fn extract_svc(args: &mut Vec<String>) -> Result<Option<SvcOpts>, String> {
-    let mut workers: Option<usize> = None;
-    let mut kill_seed: Option<u64> = None;
-    let mut kill_rate: Option<f64> = None;
-    let mut respawn_budget: Option<u32> = None;
-    let mut shard_size: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                args.remove(i);
-                return Ok(Some(v.to_string()));
+    let workers =
+        take_parsed(args, &["--workers"], "--workers value", "a positive integer", |w| *w >= 1)?;
+    let opts = SvcOpts {
+        workers: workers.unwrap_or(1),
+        kill_seed: take_parsed(args, &["--kill-plan"], "--kill-plan value", "a seed", any)?,
+        kill_rate: take_parsed(args, &["--kill-rate"], "--kill-rate value", "0.0..=1.0", |r| {
+            (0.0..=1.0).contains(r)
+        })?,
+        respawn_budget: take_parsed(
+            args,
+            &["--respawn-budget"],
+            "--respawn-budget value",
+            "an integer",
+            any,
+        )?,
+        shard_size: take_parsed(
+            args,
+            &["--shard-size"],
+            "--shard-size value",
+            "a positive integer",
+            |s| *s >= 1,
+        )?,
+    };
+    let tuned = opts.kill_seed.is_some()
+        || opts.kill_rate.is_some()
+        || opts.respawn_budget.is_some()
+        || opts.shard_size.is_some();
+    match workers {
+        Some(_) => Ok(Some(opts)),
+        None if tuned => {
+            Err("--kill-plan/--kill-rate/--respawn-budget/--shard-size require --workers N"
+                .to_string())
+        }
+        None => Ok(None),
+    }
+}
+
+/// Executes `batch` in-process, or sharded across the `--workers` pool.
+fn execute(batch: &Batch<'_>, svc: Option<&SvcOpts>, jobs: usize) -> BatchReport {
+    let backend = match svc {
+        Some(o) => Backend::Sharded(o.config(jobs)),
+        None => Backend::InProcess { jobs },
+    };
+    batch.execute(&backend).unwrap_or_else(|e| {
+        eprintln!("svc: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Prints a finished batch: the pool's counters when sharded, then either
+/// the single-id form (`id: VERDICT`, or a run's provenance and trail) or
+/// the registry form (one line per id, then the batch report).
+fn print_batch(report: &BatchReport, single: bool) {
+    if let Some(stats) = &report.svc {
+        println!("{}", stats.render());
+    }
+    match &report.result {
+        BatchResult::Verify(r) if single => {
+            for o in &r.outcomes {
+                println!("{}: {}", o.id, o.status());
             }
-            if arg == flag {
-                if i + 1 >= args.len() {
-                    return Err(format!("{flag} requires a value"));
+        }
+        BatchResult::Verify(r) => print!("{}", r.render()),
+        BatchResult::Run { runs, report } => {
+            for r in runs {
+                match &r.outcome {
+                    RunOutcome::Failed(f) if single => println!("{}: {f}", r.id),
+                    RunOutcome::Failed(f) => println!("{:<10} {f}", r.id),
+                    RunOutcome::Ok { record, attempts } if single => {
+                        println!(
+                            "{} (seed {}, {:.3}s, fingerprint {:#018x}){}{}",
+                            record.name,
+                            record.seed,
+                            record.wall_seconds,
+                            record.fingerprint(),
+                            if r.cached { " [cached]" } else { "" },
+                            attempts_note(*attempts)
+                        );
+                        print!("{}", record.trail.render());
+                    }
+                    RunOutcome::Ok { record, attempts } => println!(
+                        "{:<10} {} (seed {}, fingerprint {:#018x}){}",
+                        r.id,
+                        record.name,
+                        record.seed,
+                        record.fingerprint(),
+                        attempts_note(*attempts)
+                    ),
                 }
-                let v = args.remove(i + 1);
-                args.remove(i);
-                return Ok(Some(v));
             }
-            Ok(None)
-        };
-        if let Some(v) = take("--workers")? {
-            workers = Some(v.parse::<usize>().ok().filter(|&w| w >= 1).ok_or_else(|| {
-                format!("invalid --workers value '{v}' (want a positive integer)")
-            })?);
-        } else if let Some(v) = take("--kill-plan")? {
-            kill_seed = Some(
-                v.parse::<u64>()
-                    .map_err(|_| format!("invalid --kill-plan value '{v}' (want a seed)"))?,
-            );
-        } else if let Some(v) = take("--kill-rate")? {
-            kill_rate = Some(
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or_else(|| format!("invalid --kill-rate value '{v}' (want 0.0..=1.0)"))?,
-            );
-        } else if let Some(v) = take("--respawn-budget")? {
-            respawn_budget =
-                Some(v.parse::<u32>().map_err(|_| {
-                    format!("invalid --respawn-budget value '{v}' (want an integer)")
-                })?);
-        } else if let Some(v) = take("--shard-size")? {
-            shard_size = Some(v.parse::<usize>().ok().filter(|&s| s >= 1).ok_or_else(|| {
-                format!("invalid --shard-size value '{v}' (want a positive integer)")
-            })?);
-        } else {
-            i += 1;
+            if !single {
+                println!();
+                print!("{}", report.render());
+            }
         }
     }
-    let Some(workers) = workers else {
-        if kill_seed.is_some()
-            || kill_rate.is_some()
-            || respawn_budget.is_some()
-            || shard_size.is_some()
-        {
-            return Err(
-                "--kill-plan/--kill-rate/--respawn-budget/--shard-size require --workers N"
-                    .to_string(),
-            );
-        }
-        return Ok(None);
-    };
-    Ok(Some(SvcOpts { workers, kill_seed, kill_rate, respawn_budget, shard_size }))
 }
 
 /// `treu trace <DIR|FILE> [--check] [--top N]` — inspects stored traces.
@@ -1742,33 +1236,8 @@ impl AttestOpts {
 /// forms) from `args`. `--attest-key` alone is a usage error — the key
 /// names no chain without a directory.
 fn extract_attest(args: &mut Vec<String>) -> Result<Option<AttestOpts>, String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut key: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        if arg == "--attest-dir" {
-            if i + 1 >= args.len() {
-                return Err("--attest-dir requires a value".to_string());
-            }
-            dir = Some(PathBuf::from(args.remove(i + 1)));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--attest-dir=") {
-            dir = Some(PathBuf::from(v));
-            args.remove(i);
-        } else if arg == "--attest-key" {
-            if i + 1 >= args.len() {
-                return Err("--attest-key requires a value".to_string());
-            }
-            key = Some(PathBuf::from(args.remove(i + 1)));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--attest-key=") {
-            key = Some(PathBuf::from(v));
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
+    let dir = take_parsed(args, &["--attest-dir"], "--attest-dir", "a path", any)?;
+    let key = take_parsed(args, &["--attest-key"], "--attest-key", "a path", any)?;
     match (dir, key) {
         (Some(dir), key) => Ok(Some(AttestOpts { dir, key })),
         (None, Some(_)) => Err("--attest-key requires --attest-dir".to_string()),
@@ -1983,94 +1452,20 @@ fn run_attest_cmd(
     }
 }
 
-/// Removes `--trace-out DIR` (or `--trace-out=DIR`) from `args`; when
-/// present, run/verify/chaos write their span stream under DIR.
-fn extract_trace_out(args: &mut Vec<String>) -> Result<Option<PathBuf>, String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        if arg == "--trace-out" {
-            if i + 1 >= args.len() {
-                return Err("--trace-out requires a value".to_string());
-            }
-            dir = Some(PathBuf::from(args.remove(i + 1)));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--trace-out=") {
-            dir = Some(PathBuf::from(v));
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(dir)
-}
-
 /// Removes `--cache-dir DIR` (or `--cache-dir=DIR`) and `--no-cache` from
 /// `args` and returns the opened run cache. The cache is opt-in: with no
 /// `--cache-dir` there is nothing to read or write, and `--no-cache`
 /// disables a `--cache-dir` that is also present (useful for forcing a
 /// recomputation without editing scripts).
 fn extract_cache(args: &mut Vec<String>) -> Result<Option<RunCache>, String> {
-    let mut dir: Option<String> = None;
-    let mut disabled = false;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        if arg == "--no-cache" {
-            disabled = true;
-            args.remove(i);
-        } else if arg == "--cache-dir" {
-            if i + 1 >= args.len() {
-                return Err("--cache-dir requires a value".to_string());
-            }
-            dir = Some(args.remove(i + 1));
-            args.remove(i);
-        } else if let Some(v) = arg.strip_prefix("--cache-dir=") {
-            dir = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    if disabled {
+    let dir: Option<String> = take_parsed(args, &["--cache-dir"], "--cache-dir", "a path", any)?;
+    if take_flag(args, "--no-cache") {
         return Ok(None);
     }
-    match dir {
-        None => Ok(None),
-        Some(d) => RunCache::open(std::path::Path::new(&d))
-            .map(Some)
-            .map_err(|e| format!("cannot open cache dir '{d}': {e}")),
-    }
-}
-
-/// Removes `--jobs N` / `-j N` (or `--jobs=N`) from `args` and returns the
-/// worker count, defaulting to the hardware thread count.
-fn extract_jobs(args: &mut Vec<String>) -> Result<usize, String> {
-    let mut jobs = treu::math::parallel::default_threads();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].clone();
-        let value = if arg == "--jobs" || arg == "-j" {
-            if i + 1 >= args.len() {
-                return Err(format!("{arg} requires a value"));
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            v
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            args.remove(i);
-            v.to_string()
-        } else {
-            i += 1;
-            continue;
-        };
-        jobs =
-            value.parse::<usize>().ok().filter(|&j| j >= 1).ok_or_else(|| {
-                format!("invalid --jobs value '{value}' (want a positive integer)")
-            })?;
-    }
-    Ok(jobs)
+    dir.map(|d| {
+        RunCache::open(Path::new(&d)).map_err(|e| format!("cannot open cache dir '{d}': {e}"))
+    })
+    .transpose()
 }
 
 /// `treu tune [seed] [--quick|--full] [--shapes MxKxN,...] [--repeats N]`

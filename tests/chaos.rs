@@ -15,11 +15,30 @@
 #![recursion_limit = "256"]
 
 use proptest::prelude::*;
+use treu::core::batch::{Backend, Batch, Mode};
 use treu::core::cache::{CacheBound, RunCache};
-use treu::core::exec::{DenyPolicy, Executor, FailureKind, SupervisePolicy};
+use treu::core::exec::{DenyPolicy, Executor, FailureKind, SupervisePolicy, VerifyReport};
 use treu::core::experiment::{Experiment, Params, RunContext};
 use treu::core::fault::FaultPlan;
 use treu::core::ExperimentRegistry;
+
+/// Supervised registry verification on `jobs` in-process threads.
+fn verify(
+    reg: &ExperimentRegistry,
+    jobs: usize,
+    seed: u64,
+    policy: SupervisePolicy,
+    plan: Option<&FaultPlan>,
+    cache: Option<&RunCache>,
+) -> VerifyReport {
+    Batch::registry(reg, Mode::Verify, seed)
+        .with_policy(policy)
+        .with_plan(plan)
+        .with_cache(cache)
+        .execute(&Backend::InProcess { jobs })
+        .expect("in-process batch")
+        .into_verify()
+}
 
 /// Silences the per-panic stderr trace for *injected* panics only —
 /// they are part of the experiment here, and a 0.3-rate sweep would
@@ -80,17 +99,10 @@ fn check_transient_convergence(fault_seed: u64, rate: f64, run_seed: u64) {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(fault_seed, rate);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
-    let clean = Executor::sequential().verify_all(&reg, run_seed);
+    let clean = Executor::sequential().verify_all_with(&reg, run_seed, |_, d| d);
     prop_assert!(clean.all_reproduced());
     for jobs in [1usize, 4] {
-        let chaotic = Executor::new(jobs).verify_all_supervised_with(
-            &reg,
-            run_seed,
-            None,
-            &policy,
-            Some(&plan),
-            |_, d| d,
-        );
+        let chaotic = verify(&reg, jobs, run_seed, policy, Some(&plan), None);
         prop_assert!(
             chaotic.all_reproduced(),
             "jobs={jobs} fault_seed={fault_seed} rate={rate}: {:?}",
@@ -117,9 +129,8 @@ fn check_fails_closed(fault_seed: u64) {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(fault_seed, 0.5);
     let policy = SupervisePolicy::new(0); // no retries at all
-    let clean = Executor::sequential().verify_all(&reg, 7);
-    let chaotic =
-        Executor::new(2).verify_all_supervised_with(&reg, 7, None, &policy, Some(&plan), |_, d| d);
+    let clean = Executor::sequential().verify_all_with(&reg, 7, |_, d| d);
+    let chaotic = verify(&reg, 2, 7, policy, Some(&plan), None);
     for (c, f) in clean.outcomes.iter().zip(chaotic.outcomes.iter()) {
         if f.reproduced {
             prop_assert_eq!(c.fingerprint, f.fingerprint, "{}", c.id);
@@ -165,14 +176,13 @@ fn full_registry_transient_chaos_is_bitwise_invisible() {
         Executor::sequential().verify_all_with(&reg, 77, |id, _| treu::conformance_params(id));
     assert!(clean.all_reproduced(), "{:?}", clean.violations());
     for jobs in [1usize, 4] {
-        let chaotic = Executor::new(jobs).verify_all_supervised_with(
-            &reg,
-            77,
-            None,
-            &policy,
-            Some(&plan),
-            |id, _| treu::conformance_params(id),
-        );
+        let chaotic = Batch::registry(&reg, Mode::Verify, 77)
+            .with_params(|id, _| treu::conformance_params(id))
+            .with_policy(policy)
+            .with_plan(Some(&plan))
+            .execute(&Backend::InProcess { jobs })
+            .expect("in-process batch")
+            .into_verify();
         assert!(chaotic.all_reproduced(), "jobs={jobs}: {:?}", chaotic.violations());
         for (c, f) in clean.outcomes.iter().zip(chaotic.outcomes.iter()) {
             assert_eq!(c.id, f.id);
@@ -200,8 +210,7 @@ fn permanent_panic_quarantines_one_id_and_spares_the_rest() {
     }
     reg.register("Z-broken", "prop", "permanently panics", Params::new(), Box::new(Broken));
     let policy = SupervisePolicy::new(2);
-    let report =
-        Executor::new(4).verify_all_supervised_with(&reg, 5, None, &policy, None, |_, d| d);
+    let report = verify(&reg, 4, 5, policy, None, None);
     assert_eq!(report.outcomes.len(), n);
     assert_eq!(report.outcomes.iter().filter(|o| o.reproduced).count(), n - 1);
     let q = report.quarantined();
@@ -233,14 +242,7 @@ fn cache_stats_stay_consistent_under_chaos() {
     let plan = FaultPlan::transient(11, 0.3);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
     for pass in 0..2 {
-        let report = Executor::new(4).verify_all_supervised_with(
-            &reg,
-            21,
-            Some(&cache),
-            &policy,
-            Some(&plan),
-            |_, d| d,
-        );
+        let report = verify(&reg, 4, 21, policy, Some(&plan), Some(&cache));
         assert!(report.all_reproduced(), "pass {pass}: {:?}", report.violations());
         let stats = cache.stats();
         assert!(stats.consistent(), "pass {pass}: torn snapshot {stats:?}");
@@ -270,14 +272,7 @@ fn bounded_cache_stats_stay_consistent_under_chaotic_eviction() {
     let plan = FaultPlan::transient(11, 0.3);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
     for pass in 0..3 {
-        let report = Executor::new(4).verify_all_supervised_with(
-            &reg,
-            21,
-            Some(&cache),
-            &policy,
-            Some(&plan),
-            |_, d| d,
-        );
+        let report = verify(&reg, 4, 21, policy, Some(&plan), Some(&cache));
         assert!(report.all_reproduced(), "pass {pass}: {:?}", report.violations());
         let stats = cache.stats();
         assert!(stats.consistent(), "pass {pass}: torn snapshot after evictions {stats:?}");
@@ -309,8 +304,7 @@ fn rescued_runs_gate_only_at_warn() {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(3, 1.0);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
-    let report =
-        Executor::new(2).verify_all_supervised_with(&reg, 9, None, &policy, Some(&plan), |_, d| d);
+    let report = verify(&reg, 2, 9, policy, Some(&plan), None);
     assert!(report.all_reproduced());
     assert!(!report.retried().is_empty(), "a rate-1.0 plan must force retries");
     assert!(report.exceeds(DenyPolicy::Warn));

@@ -9,8 +9,21 @@
 //! determinism is a property of the code path, not of the workload size.
 
 use treu::conformance_params as light_params;
-use treu::core::exec::Executor;
+use treu::core::batch::{Backend, Batch, Mode};
+use treu::core::cache::RunCache;
+use treu::core::exec::{Executor, VerifyReport};
 use treu::core::experiment::Params;
+use treu::core::ExperimentRegistry;
+
+/// Light-parameter registry verification through `cache` on 4 threads.
+fn verify_cached(reg: &ExperimentRegistry, seed: u64, cache: &RunCache) -> VerifyReport {
+    Batch::registry(reg, Mode::Verify, seed)
+        .with_params(|id, _| light_params(id))
+        .with_cache(Some(cache))
+        .execute(&Backend::InProcess { jobs: 4 })
+        .expect("in-process batch")
+        .into_verify()
+}
 
 #[test]
 fn every_experiment_runs_and_is_deterministic() {
@@ -77,14 +90,12 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
     // Acceptance criterion: a second `treu verify` against a warm cache
     // recomputes zero experiments, the hit count equals the experiment
     // count, and the replayed fingerprints match the cold pass bitwise.
-    use treu::core::cache::RunCache;
     let reg = treu::full_registry();
     let dir = std::env::temp_dir().join(format!("treu-harness-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let exec = Executor::new(4);
 
     let cold_cache = RunCache::open(&dir).expect("cache dir");
-    let cold = exec.verify_all_cached_with(&reg, 77, Some(&cold_cache), |id, _| light_params(id));
+    let cold = verify_cached(&reg, 77, &cold_cache);
     assert!(cold.all_reproduced(), "cold pass: {:?}", cold.violations());
     assert_eq!(cold.recomputed, reg.len(), "cold cache verifies everything the hard way");
     assert_eq!(cold_cache.stats().misses, reg.len() as u64);
@@ -93,7 +104,7 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
     // A fresh handle on the same directory, so the stats below are purely
     // the warm pass's.
     let warm_cache = RunCache::open(&dir).expect("cache dir");
-    let warm = exec.verify_all_cached_with(&reg, 77, Some(&warm_cache), |id, _| light_params(id));
+    let warm = verify_cached(&reg, 77, &warm_cache);
     assert!(warm.all_reproduced());
     assert_eq!(warm.recomputed, 0, "warm cache must recompute zero experiments");
     assert_eq!(warm.cached_count(), reg.len());
@@ -110,8 +121,7 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
     // (Param sensitivity is covered by the cache unit tests; re-running
     // the registry at default params here would be needlessly slow.)
     let seed_cache = RunCache::open(&dir).expect("cache dir");
-    let reseeded =
-        exec.verify_all_cached_with(&reg, 78, Some(&seed_cache), |id, _| light_params(id));
+    let reseeded = verify_cached(&reg, 78, &seed_cache);
     assert!(reseeded.all_reproduced());
     assert_eq!(seed_cache.stats().hits, 0, "seed is part of the cache address");
     assert_eq!(reseeded.recomputed, reg.len());
@@ -122,9 +132,8 @@ fn conformance_warm_cache_verify_recomputes_nothing() {
 #[test]
 fn executor_report_accounts_for_every_registry_run() {
     let reg = treu::full_registry();
-    // Two light survey ids through run_all on a restricted registry is not
-    // possible (run_all uses defaults), so check the report plumbing on
-    // verify_all_with instead: per-id outcomes plus positive wall time.
+    // Check the report plumbing on a light-parameter verify: per-id
+    // outcomes plus positive wall time.
     let report = Executor::new(4).verify_all_with(&reg, 5, |id, _| light_params(id));
     assert_eq!(report.jobs, 4);
     assert!(report.wall_seconds > 0.0);

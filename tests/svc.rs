@@ -10,9 +10,12 @@
 use std::io::{BufReader, Read as _};
 use std::process::{Command, Stdio};
 
+use treu::core::batch::{Backend, Batch, Mode};
 use treu::core::cache::{Lookup, RunCache};
+use treu::core::exec::Executor;
 use treu::core::experiment::Params;
-use treu::core::svc::{read_frame, write_frame};
+use treu::core::fault::{FaultKind, FaultPlan};
+use treu::core::svc::{read_frame, write_frame, SvcConfig};
 
 fn treu(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_treu")).args(args).output().expect("binary runs")
@@ -194,4 +197,87 @@ fn killed_worker_never_leaves_a_torn_cache_entry() {
     assert!(cache.stats().consistent(), "stats snapshot invariant broken after crash recovery");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pool of real `treu worker` subprocesses: 2 workers × 1 job.
+fn sharded() -> Backend {
+    let worker = vec![env!("CARGO_BIN_EXE_treu").to_string(), "worker".to_string()];
+    Backend::Sharded(SvcConfig::new(2).with_jobs(1).with_worker_cmd(worker))
+}
+
+/// `*.run` entries stored under a cache directory.
+fn stored_entries(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| n.ends_with(".run"))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// Regression: a run under a fault plan must never store its trail. A
+/// sharded run under a trail-corrupting plan used to store every
+/// corrupted trail, after which a clean verify replayed them as
+/// `REPRODUCED [cached]` under the wrong fingerprints.
+#[test]
+fn faulted_run_never_poisons_the_cache_on_either_backend() {
+    let reg = treu::full_registry();
+    let plan = FaultPlan::with_menu(7, 1.0, vec![FaultKind::CorruptTrail]);
+    for (tag, backend) in [("sharded", sharded()), ("in-process", Backend::InProcess { jobs: 2 })] {
+        let dir = temp_dir(&format!("poison-{tag}"));
+        let cache = RunCache::open(&dir).expect("cache opens");
+        let faulted = Batch::registry(&reg, Mode::Run, 2023)
+            .with_params(|id, _| treu::conformance_params(id))
+            .with_cache(Some(&cache))
+            .with_plan(Some(&plan))
+            .execute(&backend)
+            .expect("faulted run completes");
+        let (runs, _) = faulted.into_run();
+        assert!(runs.iter().all(|r| r.outcome.is_ok() && !r.cached), "{tag}: runs complete");
+        assert_eq!(stored_entries(&dir), Vec::<String>::new(), "{tag}: faulted trails stored");
+
+        let clean =
+            Executor::new(2).verify_all_with(&reg, 2023, |id, _| treu::conformance_params(id));
+        let verify = Batch::registry(&reg, Mode::Verify, 2023)
+            .with_params(|id, _| treu::conformance_params(id))
+            .with_cache(Some(&cache))
+            .execute(&Backend::InProcess { jobs: 2 })
+            .expect("in-process verify")
+            .into_verify();
+        assert_eq!(verify.recomputed, reg.len(), "{tag}: every id is recomputed");
+        assert_eq!(verify.outcomes.iter().filter(|o| o.reproduced).count(), 21, "{tag}");
+        for (a, b) in verify.outcomes.iter().zip(&clean.outcomes) {
+            assert_eq!(a.fingerprint, b.fingerprint, "{tag}: {} replayed a poisoned trail", a.id);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A registry run writes the same trace content address in-process and
+/// sharded, with no cache and with a cold one: both backends execute the
+/// same task function and merge its events in index order.
+#[test]
+fn run_trace_is_identical_in_process_and_sharded() {
+    let reg = treu::full_registry();
+    for cached in [false, true] {
+        let mut hashes = Vec::new();
+        for (tag, backend) in
+            [("in-process", Backend::InProcess { jobs: 2 }), ("sharded", sharded())]
+        {
+            let dir = temp_dir(&format!("topo-{tag}-{cached}"));
+            let cache = RunCache::open(&dir).expect("cache opens");
+            let report = Batch::registry(&reg, Mode::Run, 2023)
+                .with_params(|id, _| treu::conformance_params(id))
+                .with_cache(cached.then_some(&cache))
+                .execute(&backend)
+                .expect("run completes");
+            assert_eq!(report.trace().runs.len(), reg.len());
+            hashes.push((tag, report.trace().content_hash()));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert_eq!(hashes[0].1, hashes[1].1, "cache={cached}: run trace differs: {hashes:?}");
+    }
 }

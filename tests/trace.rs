@@ -11,11 +11,27 @@
 //!    fault, the deterministic backoff, and the retry attempt in order,
 //!    and the counters folded from the stream agree with the report.
 
-use treu::core::exec::{Executor, SupervisePolicy};
+use treu::core::batch::{Backend, Batch, Mode};
+use treu::core::exec::{Executor, SupervisePolicy, VerifyReport};
 use treu::core::experiment::{Experiment, Params, RunContext};
 use treu::core::fault::FaultPlan;
 use treu::core::trace::{check_trace_file, parse_times, parse_trace, TraceEvent};
 use treu::core::ExperimentRegistry;
+
+/// Registry verification at `jobs` in-process threads through `batch`.
+fn verify(batch: Batch<'_>, jobs: usize) -> VerifyReport {
+    batch.execute(&Backend::InProcess { jobs }).expect("in-process batch").into_verify()
+}
+
+/// A supervised verify batch over the whole registry.
+fn supervised<'a>(
+    reg: &'a ExperimentRegistry,
+    seed: u64,
+    policy: SupervisePolicy,
+    plan: Option<&'a FaultPlan>,
+) -> Batch<'a> {
+    Batch::registry(reg, Mode::Verify, seed).with_policy(policy).with_plan(plan)
+}
 
 /// Silences the per-panic stderr trace for *injected* panics only.
 fn quiet_injected_panics() {
@@ -93,24 +109,10 @@ fn supervised_verify_trace_is_schedule_independent_under_chaos() {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(7, 0.3);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
-    let base = Executor::sequential().verify_all_supervised_with(
-        &reg,
-        11,
-        None,
-        &policy,
-        Some(&plan),
-        |_, d| d,
-    );
+    let base = verify(supervised(&reg, 11, policy, Some(&plan)), 1);
     assert!(base.all_reproduced(), "{:?}", base.violations());
     for jobs in [2usize, 4] {
-        let report = Executor::new(jobs).verify_all_supervised_with(
-            &reg,
-            11,
-            None,
-            &policy,
-            Some(&plan),
-            |_, d| d,
-        );
+        let report = verify(supervised(&reg, 11, policy, Some(&plan)), jobs);
         assert_eq!(
             base.trace.render_events(),
             report.trace.render_events(),
@@ -127,14 +129,10 @@ fn supervised_verify_trace_is_schedule_independent_under_chaos() {
 fn full_registry_verify_trace_is_bitwise_identical_across_jobs() {
     let reg = treu::full_registry();
     let policy = SupervisePolicy::new(0);
-    let one =
-        Executor::new(1).verify_all_supervised_with(&reg, 2023, None, &policy, None, |id, _| {
-            treu::conformance_params(id)
-        });
-    let four =
-        Executor::new(4).verify_all_supervised_with(&reg, 2023, None, &policy, None, |id, _| {
-            treu::conformance_params(id)
-        });
+    let light =
+        || supervised(&reg, 2023, policy, None).with_params(|id, _| treu::conformance_params(id));
+    let one = verify(light(), 1);
+    let four = verify(light(), 4);
     assert!(one.all_reproduced(), "{:?}", one.violations());
     assert_eq!(one.trace.runs.len(), reg.len(), "one trace per experiment");
     assert_eq!(
@@ -157,8 +155,7 @@ fn faulted_runs_record_fault_backoff_and_retry_spans_in_order() {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(3, 1.0);
     let policy = SupervisePolicy::new(plan.max_transient_attempts());
-    let report =
-        Executor::new(2).verify_all_supervised_with(&reg, 9, None, &policy, Some(&plan), |_, d| d);
+    let report = verify(supervised(&reg, 9, policy, Some(&plan)), 2);
     assert!(report.all_reproduced());
     assert!(report.counters.faults_injected > 0, "rate 1.0 must inject");
     assert_eq!(report.counters.faults_injected, report.counters.backoffs);
@@ -184,8 +181,7 @@ fn counters_agree_with_outcomes() {
     let reg = synthetic_registry();
     let plan = FaultPlan::transient(5, 0.4);
     let policy = SupervisePolicy::new(0); // underbudgeted: some quarantines
-    let report =
-        Executor::new(2).verify_all_supervised_with(&reg, 13, None, &policy, Some(&plan), |_, d| d);
+    let report = verify(supervised(&reg, 13, policy, Some(&plan)), 2);
     let c = report.trace.counters();
     assert_eq!(c, report.counters, "report counters are folded from the trace");
     assert_eq!(c.verdicts as usize, report.outcomes.len());
